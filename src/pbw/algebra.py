@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import reduce
 
 from .scalars import ord_of
-from .words import c_set, format_word, is_shirshov_closed, shirshov_decompose, xlen
+from .words import c_set, format_word, greatest_first, is_shirshov_closed, shirshov_decompose, xlen
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +151,14 @@ def format_monomial(mono) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def format_poly(a, order_key=None) -> str:
+def format_poly(a) -> str:
+    """Terms in decreasing rewriting order; terms with equal words keep their
+    insertion order."""
     from .scalars import format_scalar
 
     if a.is_zero():
         return "0"
-    monos = sorted(
-        a.terms,
-        key=order_key if order_key is not None else lambda m: (-xlen(m[0]), m[0], m[1]),
-    )
+    monos = sorted(a.terms, key=lambda m: greatest_first(m[0]))
     parts = []
     for m in monos:
         c = a.terms[m]
@@ -194,13 +193,19 @@ class Datum:
     heights: dict       # word -> int (finite) or None (infinite)
     reds: dict          # word in C(L) -> NCPoly
     redhats: dict       # word in D(L) -> NCPoly
-    _qexp: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    # derived tables, owned by each instance: dataclasses.replace builds new ones
+    _qexp: dict = dc_field(init=False, repr=False, compare=False)         # (i, j) -> exponent of q_ij
+    _expansions: dict = dc_field(init=False, repr=False, compare=False)   # Lyndon word -> NCPoly
 
     def __post_init__(self):
-        for i in range(self.theta):
-            for j in range(self.theta):
-                e = sum(k * x for k, x in zip(self.chi[j], self.g[i]))
-                self._qexp[(i + 1, j + 1)] = e % self.field.unit_order
+        m = self.field.unit_order
+        qexp = {
+            (i + 1, j + 1): sum(k * x for k, x in zip(self.chi[j], self.g[i])) % m
+            for i in range(self.theta)
+            for j in range(self.theta)
+        }
+        object.__setattr__(self, "_qexp", qexp)
+        object.__setattr__(self, "_expansions", {})
 
     # -- bicharacter ---------------------------------------------------
 
@@ -324,7 +329,7 @@ class Datum:
         """The iterated q-commutator polynomial of a Lyndon word, over the
         single-letter alphabet."""
         u = tuple(u)
-        cached = self._qexp.get(("exp", u))
+        cached = self._expansions.get(u)
         if cached is not None:
             return cached
         if len(u) == 1:
@@ -333,7 +338,7 @@ class Datum:
             v, w = shirshov_decompose(u)
             a, b = self.expand_superletter(v), self.expand_superletter(w)
             out = self.q_commutator(a, b, self.q_uv(v, w))
-        self._qexp[("exp", u)] = out
+        self._expansions[u] = out
         return out
 
     def expand_to_letters(self, a: NCPoly) -> NCPoly:

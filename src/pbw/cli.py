@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .algebra import format_poly
 from .criterion import (
@@ -23,10 +22,8 @@ from .criterion import (
 from .datumio import datum_to_dict, load_datum, save_datum
 from .exprs import ExprError, parse_expr
 from .presets import PRESET_NAMES, build_preset
-from .rewrite import build_rules, dimension, hilbert, normal_form, prec_diamond_cmp
+from .rewrite import build_rules, dimension, hilbert, normal_form
 from .words import format_word, lyndon_up_to, parse_word, shirshov_decompose
-
-_TERM_ORDER = cmp_to_key(lambda a, b: -prec_diamond_cmp(a, b))
 
 
 def _load(path):
@@ -47,8 +44,7 @@ def _load(path):
 def _cmd_check(args):
     d = _load(args.file)
     report = check_pbw(d, mode=args.mode)
-    rules = build_rules(d, report.table)
-    dim = dimension(rules)
+    dim = dimension(d)
     if args.json:
         payload = report.to_json()
         payload["dimension"] = dim
@@ -69,14 +65,12 @@ def _cmd_nf(args):
         print(f"parse error: {e}", file=sys.stderr)
         return 2
     nf = normal_form(rules, poly)
-    print(format_poly(nf, order_key=_TERM_ORDER))
+    print(format_poly(nf))
     return 0
 
 
 def _cmd_dim(args):
-    d = _load(args.file)
-    rules = build_rules(d, bracket_table(d))
-    dim = dimension(rules)
+    dim = dimension(_load(args.file))
     print(dim if dim is not None else "infinite")
     return 0
 

@@ -151,15 +151,15 @@ def bounded_span_elements(rs: RuleSystem, bound):
     return out
 
 
-def in_bounded_ideal(rs: RuleSystem, a: NCPoly, bound, use_span_fallback=True):
+def in_bounded_ideal(rs: RuleSystem, a: NCPoly, bound):
     """Membership test for the bounded span: deterministic bounded reduction
-    first; on a nonzero residue, the exact span test (when available).
+    first; on a nonzero residue, the exact span test (finite groups only).
 
     Returns (member, residue, used_fallback)."""
     residue = reduce_bounded(rs, a, bound)
     if residue.is_zero():
         return True, residue, False
-    if not use_span_fallback or not rs.datum.group.is_finite():
+    if not rs.datum.group.is_finite():
         return False, residue, False
     elements = bounded_span_elements(rs, bound)
     return span_contains(elements, a), residue, True
@@ -261,19 +261,18 @@ def _leibniz_pairs(datum, mode):
                 yield ("gt", v, u)
 
 
-def check_pbw(datum, mode="full", use_span_fallback=True, table=None, rules=None) -> PBWReport:
+def check_pbw(datum, mode="full", table=None) -> PBWReport:
     """Evaluate the q-Jacobi and restricted q-Leibniz conditions; each test
     element must lie in the span of rule elements placed below its bound."""
     if mode not in ("full", "reduced"):
         raise ValueError("mode must be 'full' or 'reduced'")
     if table is None:
         table = bracket_table(datum)
-    if rules is None:
-        rules = build_rules(datum, table)
+    rules = build_rules(datum, table)
     conditions = []
 
     def record(kind, words, element, bound):
-        ok, residue, fb = in_bounded_ideal(rules, element, bound, use_span_fallback)
+        ok, residue, fb = in_bounded_ideal(rules, element, bound)
         conditions.append(ConditionReport(kind, words, ok, element, residue, fb))
 
     for u, v, w in _jacobi_triples(datum, mode):

@@ -26,7 +26,36 @@ def _require(cond, msg):
         raise DatumFormatError(msg)
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(v):
+    return isinstance(v, list) and all(_is_int(k) for k in v)
+
+
+def _checked(fn, *args):
+    """fn(*args), reporting the ValueError it raises for a bad value as a
+    DatumFormatError."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        raise DatumFormatError(str(e)) from None
+
+
+def _word(text):
+    _require(isinstance(text, str), f"a word literal must be a string, got {text!r}")
+    return _checked(parse_word, text)
+
+
+def _mapping(data, key):
+    obj = data[key]
+    _require(isinstance(obj, dict), f"{key} must be a JSON object keyed by words")
+    return obj
+
+
 def datum_from_dict(data: dict) -> Datum:
+    """The datum of a JSON object; any malformed input raises DatumFormatError."""
     _require(isinstance(data, dict), "datum must be a JSON object")
     unknown = set(data) - _TOP_FIELDS
     _require(not unknown, f"unknown fields: {sorted(unknown)}")
@@ -34,45 +63,54 @@ def datum_from_dict(data: dict) -> Datum:
     _require(not missing, f"missing fields: {sorted(missing)}")
 
     theta = data["theta"]
-    _require(isinstance(theta, int) and theta >= 1, "theta must be a positive integer")
+    _require(_is_int(theta) and theta >= 1, "theta must be a positive integer")
 
     fspec = data["field"]
-    _require(isinstance(fspec, dict) and len(fspec) == 1, "field must be {'cyclotomic': m} or {'prime': p}")
+    _require(
+        isinstance(fspec, dict) and len(fspec) == 1 and all(_is_int(v) for v in fspec.values()),
+        "field must be {'cyclotomic': m} or {'prime': p}",
+    )
     if "cyclotomic" in fspec:
-        field = CycloField(fspec["cyclotomic"])
+        field = _checked(CycloField, fspec["cyclotomic"])
     elif "prime" in fspec:
-        field = PrimeField(fspec["prime"])
+        field = _checked(PrimeField, fspec["prime"])
     else:
         raise DatumFormatError("field must be {'cyclotomic': m} or {'prime': p}")
 
     gspec = data["group"]
     _require(isinstance(gspec, dict) and set(gspec) <= {"torsion", "free_rank"}, "bad group spec")
-    group = GroupSpec(tuple(gspec.get("torsion", ())), gspec.get("free_rank", 0))
+    torsion, free_rank = gspec.get("torsion", []), gspec.get("free_rank", 0)
+    _require(_is_int_list(torsion) and _is_int(free_rank), "group torsion is a list of integers, free_rank an integer")
+    group = _checked(GroupSpec, tuple(torsion), free_rank)
 
     g_list = data["g"]
-    _require(isinstance(g_list, list) and len(g_list) == theta, "g must list theta exponent vectors")
-    g = tuple(group.element(v) for v in g_list)
+    _require(
+        isinstance(g_list, list) and len(g_list) == theta and all(_is_int_list(v) for v in g_list),
+        "g must list theta integer exponent vectors",
+    )
+    g = tuple(_checked(group.element, v) for v in g_list)
 
     chi_list = data["chi"]
     _require(isinstance(chi_list, list) and len(chi_list) == theta, "chi must list theta characters")
     for v in chi_list:
         _require(
-            isinstance(v, list) and len(v) == group.nfactors and all(isinstance(k, int) for k in v),
+            _is_int_list(v) and len(v) == group.nfactors,
             "each character is a list of integer root exponents, one per group factor",
         )
     chi = tuple(tuple(v) for v in chi_list)
 
-    L_words = [parse_word(w) for w in data["L"]]
+    _require(isinstance(data["L"], list), "L must be a list of words")
+    L_words = [_word(w) for w in data["L"]]
     _require(len(set(L_words)) == len(L_words), "duplicate members in L")
     L = tuple(sorted(L_words))
 
     heights = {}
-    for k, v in data["heights"].items():
-        w = parse_word(k)
+    for k, v in _mapping(data, "heights").items():
+        w = _word(k)
         if v == "inf":
             heights[w] = None
         else:
-            _require(isinstance(v, int) and v >= 1, f"height of {k} must be a positive integer or 'inf'")
+            _require(_is_int(v) and v >= 1, f"height of {k} must be a positive integer or 'inf'")
             heights[w] = v
 
     def parse_poly(obj, where):
@@ -80,14 +118,16 @@ def datum_from_dict(data: dict) -> Datum:
         p = NCPoly()
         for t in obj:
             _require(isinstance(t, dict) and set(t) == {"word", "grp", "coeff"}, f"bad term in {where}")
-            letters = tuple(parse_word(l) for l in t["word"])
-            gel = group.element(t["grp"])
-            coeff = parse_scalar_literal(t["coeff"], field)
+            _require(isinstance(t["word"], list), f"a term word in {where} must be a list of words")
+            _require(_is_int_list(t["grp"]), f"a term group element in {where} must be a list of integers")
+            letters = tuple(_word(l) for l in t["word"])
+            gel = _checked(group.element, t["grp"])
+            coeff = _checked(parse_scalar_literal, t["coeff"], field)
             p.add_term((letters, gel), coeff)
         return p
 
-    reds = {parse_word(k): parse_poly(v, f"reds[{k}]") for k, v in data["reds"].items()}
-    redhats = {parse_word(k): parse_poly(v, f"redhats[{k}]") for k, v in data["redhats"].items()}
+    reds = {_word(k): parse_poly(v, f"reds[{k}]") for k, v in _mapping(data, "reds").items()}
+    redhats = {_word(k): parse_poly(v, f"redhats[{k}]") for k, v in _mapping(data, "redhats").items()}
 
     return Datum(
         theta=theta, field=field, group=group, g=g, chi=chi, L=L,
@@ -126,7 +166,11 @@ def datum_to_dict(d: Datum) -> dict:
 
 def load_datum(path) -> Datum:
     with open(path, encoding="utf-8") as f:
-        return datum_from_dict(json.load(f))
+        try:
+            data = json.load(f)
+        except ValueError as e:
+            raise DatumFormatError(f"not a JSON file: {e}") from e
+    return datum_from_dict(data)
 
 
 def save_datum(d: Datum, path):

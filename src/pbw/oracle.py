@@ -10,20 +10,12 @@ with the rewriting engine.
 from __future__ import annotations
 
 from .algebra import NCPoly
-from .words import xlen
-
-
-def mono_key(mono):
-    """Self-ordering column label: min() over these picks the greatest
-    monomial in the rewriting order (longest word, then lexicographically
-    smallest)."""
-    U, g = mono
-    return (-xlen(U), U, g)
+from .words import greatest_first, xlen
 
 
 class Echelon:
     """Incremental row echelon over an exact field; rows are sparse dicts
-    keyed by the orderable labels of mono_key."""
+    keyed by orderable column labels, and the least label leads a row."""
 
     def __init__(self):
         self.pivots = {}
@@ -64,7 +56,9 @@ class Echelon:
 
 
 def poly_row(a: NCPoly):
-    return {mono_key(m): c for m, c in a.terms.items()}
+    """Row with the labels (*greatest_first(U), g): the least label is the
+    greatest monomial in the rewriting order."""
+    return {(*greatest_first(U), g): c for (U, g), c in a.terms.items()}
 
 
 def span_contains(elements, target: NCPoly) -> bool:
@@ -149,7 +143,7 @@ def quotient_rank(datum, max_len=None, margin=0) -> int:
                     if la + deg + xlen(b) > max_len:
                         continue
                     row = datum.mul(base, datum.monomial(b))
-                    keyed = [(-xlen(U), U, g, c) for (U, g), c in row.terms.items()]
+                    keyed = [(*greatest_first(U), g, c) for (U, g), c in row.terms.items()]
                     for h in els:
                         ech.insert({(k, U, datum.group.mul(g, h)): c for k, U, g, c in keyed})
     return ncols - ech.rank

@@ -1,7 +1,7 @@
 """Named example presentations: rank-one families, rank-two classics, the
 A2-type lifting cases, and a B2 scaffold.
 
-Each builder returns the datum together with its expected verdict data.
+Each builder returns the datum together with its expected dimension.
 Lifting coefficients default to 1 wherever the admissibility rules allow a
 nonzero value (the coefficient must vanish when its group element is trivial
 or its character constraint fails) and to 0 otherwise; passing an explicit
@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .algebra import Datum, GroupSpec, NCPoly
 from .criterion import bracket_table, forced_power_from_jacobi
+from .rewrite import dimension
 from .scalars import CycloField
 from .words import format_word
 
@@ -25,9 +26,7 @@ class Preset:
     name: str
     datum: Datum
     expected_dimension: int | None
-    expected_hilbert: tuple | None = None
     description: str = ""
-    expected_verdict: str = "pass"
 
 
 def _coeff(field, value):
@@ -100,17 +99,7 @@ class _Builder:
         return p
 
     def finish(self):
-        return replace(self.d, reds=self.reds, redhats=self.redhats, _qexp={})
-
-
-def _finite_dim(d: Datum):
-    total = d.group.order()
-    for u in d.L:
-        n = d.heights[u]
-        if n is None:
-            return None
-        total *= n
-    return total
+        return replace(self.d, reds=self.reds, redhats=self.redhats)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +224,7 @@ _L3 = [(1,), (1, 2), (2,)]
 
 def _forced_redhat_12(b: _Builder):
     """Fill redhat_12 from the Jacobi-forced closed form."""
-    d0 = replace(b.d, reds=b.reds, redhats={w: NCPoly.zero() for w in b.redhats} | {(1, 2): NCPoly.zero()}, _qexp={})
+    d0 = replace(b.d, reds=b.reds, redhats={w: NCPoly.zero() for w in b.redhats} | {(1, 2): NCPoly.zero()})
     forced = forced_power_from_jacobi(d0, bracket_table(d0), "rank2-12")
     if forced is None:
         raise ValueError("the Jacobi coefficient vanishes; no forced power relation")
@@ -464,9 +453,7 @@ def build_preset(name, **params) -> Preset:
     violations = datum.validate()
     if violations:
         raise ValueError(f"preset {name} produced an invalid datum: {violations}")
-    dim = _finite_dim(datum)
-    hilb = tuple(range(1, 12)) if name in ("quantum_plane", "weyl") else None
-    return Preset(name, datum, dim, hilb, desc)
+    return Preset(name, datum, dimension(datum), desc)
 
 
 def _need(cond, msg):

@@ -9,20 +9,14 @@ order on the letter words; every rewrite step strictly decreases it.
 from __future__ import annotations
 
 from .algebra import NCPoly
-from .words import format_word, prec_cmp, xlen
-
-
-def prec_diamond_cmp(a_mono, b_mono) -> int:
-    """Order on canonical monomials; group parts never separate them."""
-    return prec_cmp(a_mono[0], b_mono[0])
+from .words import format_word, greatest_first, prec_cmp
 
 
 class RuleSystem:
-    def __init__(self, datum, pair_rhs, power_rhs, bracket_table=None):
+    def __init__(self, datum, pair_rhs, power_rhs):
         self.datum = datum
         self.pair_rhs = pair_rhs        # (u, v) with u < v in L -> NCPoly
         self.power_rhs = power_rhs      # u in D(L) -> NCPoly
-        self.bracket_table = bracket_table
         self.heights = datum.heights
 
     def find_site(self, U, bound=None):
@@ -75,20 +69,13 @@ def build_rules(datum, bracket_table) -> RuleSystem:
         rhs = datum.redhats[u]
         _check_compatible(rhs, (u,) * n, f"power rule {format_word(u)}^{n}")
         power_rhs[u] = rhs
-    return RuleSystem(datum, pair_rhs, power_rhs, bracket_table)
+    return RuleSystem(datum, pair_rhs, power_rhs)
 
 
 def _check_compatible(rhs, lhs_word, name):
     for U, _g in rhs.terms:
         if prec_cmp(U, lhs_word) >= 0:
             raise ValueError(f"{name}: right-hand side term does not precede the left-hand side")
-
-
-def _greatest_first(mono):
-    # minimal key = greatest monomial in the rewriting order, with the group
-    # part as a deterministic tie-break
-    U, g = mono
-    return (-xlen(U), U, g)
 
 
 def _reduce(rs: RuleSystem, a: NCPoly, bound) -> NCPoly:
@@ -101,7 +88,9 @@ def _reduce(rs: RuleSystem, a: NCPoly, bound) -> NCPoly:
                 sites[mono] = s
         if not sites:
             return work
-        mono = min(sites, key=_greatest_first)
+        # the group part breaks ties between equal words; it does not change
+        # the result, only the term order in which the CLI prints it
+        mono = min(sites, key=lambda m: (greatest_first(m[0]), m[1]))
         c = work.terms.pop(mono)
         repl = rs.rewrite_at(mono[0], mono[1], sites[mono])
         for m2, c2 in repl.terms.items():
@@ -153,13 +142,13 @@ def pbw_monomials(rs: RuleSystem, max_len=None):
             yield (w, g)
 
 
-def dimension(rs: RuleSystem):
+def dimension(datum):
     """Product of the heights times the group order; None when infinite."""
-    total = rs.datum.group.order()
+    total = datum.group.order()
     if total is None:
         return None
-    for u in rs.datum.L:
-        n = rs.heights[u]
+    for u in datum.L:
+        n = datum.heights[u]
         if n is None:
             return None
         total *= n

@@ -609,14 +609,17 @@ def parse_scalar_literal(lit, field):
         raise ValueError(f"bad scalar literal: {lit!r}")
     if isinstance(lit, int):
         return field.root(lit)
-    if isinstance(lit, str):
-        return field.from_rational(Fraction(lit))
-    if isinstance(lit, list):
-        if not isinstance(field, CycloField):
-            raise ValueError("coefficient vectors only make sense over a cyclotomic field")
-        if len(lit) != field.degree:
-            raise ValueError(f"coefficient vector must have length {field.degree}")
-        return field.element([Fraction(str(c)) for c in lit])
+    try:
+        if isinstance(lit, str):
+            return field.from_rational(Fraction(lit))
+        if isinstance(lit, list):
+            if not isinstance(field, CycloField):
+                raise ValueError("coefficient vectors only make sense over a cyclotomic field")
+            if len(lit) != field.degree:
+                raise ValueError(f"coefficient vector must have length {field.degree}")
+            return field.element([Fraction(str(c)) for c in lit])
+    except ZeroDivisionError:
+        raise ValueError(f"scalar literal divides by zero: {lit!r}") from None
     raise ValueError(f"bad scalar literal: {lit!r}")
 
 

@@ -129,8 +129,10 @@ def prec_cmp(U, V) -> int:
     return -1 if U > V else 1
 
 
-def prec_le(U, V) -> bool:
-    return prec_cmp(U, V) <= 0
+def greatest_first(U):
+    """Sort key for the order of prec_cmp, greatest first: ascending keys put
+    the longest, then lexicographically smallest, super word first."""
+    return (-xlen(U), U)
 
 
 def parse_word(text: str):

@@ -38,8 +38,7 @@ def test_criterion_1_classical_dimensions():
     for name, kw, expected in cases:
         t0 = time.time()
         p = build_preset(name, **kw)
-        rules = build_rules(p.datum, bracket_table(p.datum))
-        count = dimension(rules)
+        count = dimension(p.datum)
         rank = quotient_rank(p.datum)
         elapsed = time.time() - t0
         timings.append(elapsed)
@@ -64,7 +63,7 @@ def test_criterion_2_lifting_cases():
         reduced = check_pbw(p.datum, mode="reduced", table=table)
         assert full.passed and reduced.passed, name
         if name == "lifting_a2_1a":
-            assert dimension(build_rules(p.datum, table)) == 8 * p.datum.group.order()
+            assert dimension(p.datum) == 8 * p.datum.group.order()
         elapsed = time.time() - t0
         assert elapsed < 30.0, (name, elapsed)
         details.append(f"{name.split('_')[-1]} {elapsed:.2f}s")
@@ -107,21 +106,21 @@ def tampered_instances():
     bad = NCPoly()
     bad.add_term(((), (0,)), d.field.one())
     bad.add_term(((), (1,)), -d.field.one())
-    out.append(("uq_sl2 with red_12 = 1 - g", replace(d, reds={(1, 2): bad}, _qexp={}), 2))
+    out.append(("uq_sl2 with red_12 = 1 - g", replace(d, reds={(1, 2): bad}), 2))
 
     d = build_preset("radford", N=2).datum
     bad = NCPoly()
     bad.add_term(((), (1,)), d.field.one())
-    out.append(("radford with redhat_1 = g", replace(d, redhats={(1,): bad}, _qexp={}), 3))
+    out.append(("radford with redhat_1 = g", replace(d, redhats={(1,): bad}), 3))
 
     d = build_preset("uq_sl2").datum
-    out.append(("uq_sl2 with height 2 at x1", replace(d, heights={(1,): 2, (2,): 3}, _qexp={}), 2))
+    out.append(("uq_sl2 with height 2 at x1", replace(d, heights={(1,): 2, (2,): 3}), 2))
 
     d = build_preset("lifting_a1xa1", N=2).datum
     bad = NCPoly()
     bad.add_term(((), (0, 0)), d.field.one())
     bad.add_term(((), (1, 0)), -d.field.one())  # 1 - g1 instead of 1 - g1 g2
-    out.append(("a1xa1 lifting with red_12 = 1 - g1", replace(d, reds={(1, 2): bad}, _qexp={}), 2))
+    out.append(("a1xa1 lifting with red_12 = 1 - g1", replace(d, reds={(1, 2): bad}), 2))
 
     return out
 
@@ -130,7 +129,7 @@ def test_criterion_4_negative_controls():
     details = []
     for desc, d, margin in tampered_instances():
         rep = check_pbw(d)
-        count = dimension(build_rules(d, rep.table))
+        count = dimension(d)
         assert count <= 64, (desc, count)
         rank = quotient_rank(d, margin=margin)
         failed = not rep.passed

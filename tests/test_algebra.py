@@ -2,7 +2,7 @@
 the derivation behind the bracket recursion, and datum validation."""
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -337,7 +337,7 @@ def test_partial_delta_group_monomial():
     expect = d.monomial(((1,),), g).scale(d.field.one() - c)
     assert out == expect
     # with the twist equal to one the value vanishes: pick g with trivial pairing
-    d2 = replace(d, chi=((0,), (2,)), _qexp={})
+    d2 = replace(d, chi=((0,), (2,)))
     out2 = d2.partial_delta((1,), d2.group_like(d2.group.identity()), lookup, ())
     assert out2.is_zero()
 
@@ -376,7 +376,7 @@ def test_validate_accepts_taft():
 
 
 def test_validate_flags_bad_height():
-    d = replace(taft_like(), heights={(1,): 4}, _qexp={})
+    d = replace(taft_like(), heights={(1,): 4})
     assert any("height" in v for v in d.validate())
 
 
@@ -400,7 +400,6 @@ def test_validate_flags_unclosed_L():
         d,
         L=((1,), (1, 1, 2), (2,)),
         heights={(1,): None, (1, 1, 2): None, (2,): None},
-        _qexp={},
     )
     assert any("Shirshov" in v for v in bad.validate())
 
@@ -411,7 +410,6 @@ def test_validate_flags_non_lyndon_member():
         d,
         L=((1,), (2, 1), (2,)),
         heights={(1,): None, (2, 1): None, (2,): None},
-        _qexp={},
     )
     assert any("Lyndon" in v for v in bad.validate())
 
@@ -421,8 +419,8 @@ def test_validate_flags_missing_reds():
 
     d = build_preset("uq_sl2").datum
     assert d.validate() == []
-    assert any("reds" in v for v in replace(d, reds={}, _qexp={}).validate())
-    assert any("redhats" in v for v in replace(d, redhats={}, _qexp={}).validate())
+    assert any("reds" in v for v in replace(d, reds={}).validate())
+    assert any("redhats" in v for v in replace(d, redhats={}).validate())
 
 
 def test_validate_flags_shape_violation():
@@ -431,7 +429,24 @@ def test_validate_flags_shape_violation():
     d = build_preset("uq_sl2").datum
     bad = NCPoly()
     bad.add_term((((1,), (2,)), (0,)), d.field.one())  # same length as the target
-    assert any("shape" in v for v in replace(d, reds={(1, 2): bad}, _qexp={}).validate())
+    assert any("shape" in v for v in replace(d, reds={(1, 2): bad}).validate())
+
+
+def test_replace_leaves_the_original_datum_intact():
+    from pbw.criterion import check_pbw
+    from pbw.presets import build_preset
+
+    assert [f.name for f in fields(Datum) if f.init] == [
+        "theta", "field", "group", "g", "chi", "L", "heights", "reds", "redhats",
+    ]
+    d = build_preset("lifting_a2_1b").datum
+    expansion = d.expand_superletter((1, 1, 2))
+    copy = replace(d, chi=((1,), (3,)))
+    assert copy.q_exp((1,), (1,)) == 1
+    assert copy.expand_superletter((1, 1, 2)) != expansion
+    assert d.q_exp((1,), (1,)) == 3
+    assert d.expand_superletter((1, 1, 2)) == expansion
+    assert check_pbw(d).passed
 
 
 def test_format_helpers():

@@ -7,7 +7,7 @@ import pytest
 
 from pbw.algebra import NCPoly
 from pbw.cli import main
-from pbw.datumio import save_datum
+from pbw.datumio import datum_to_dict, save_datum
 from pbw.exprs import ExprError, parse_expr
 from pbw.presets import PRESET_NAMES, build_preset
 
@@ -47,7 +47,7 @@ def test_check_fail_exit_code(capsys, tmp_path):
     bad.add_term(((), (0,)), d.field.one())
     bad.add_term(((), (1,)), -d.field.one())
     path = tmp_path / "bad.json"
-    save_datum(replace(d, reds={(1, 2): bad}, _qexp={}), path)
+    save_datum(replace(d, reds={(1, 2): bad}), path)
     code, out, _ = run(capsys, "check", str(path))
     assert code == 1
     assert "FAIL" in out
@@ -62,12 +62,39 @@ def test_check_invalid_exit_code(capsys, tmp_path):
 
     # structurally valid file but violated constraints
     d = build_preset("taft").datum
-    bad = replace(d, heights={(1,): 5}, _qexp={})
+    bad = replace(d, heights={(1,): 5})
     path2 = tmp_path / "badheights.json"
     save_datum(bad, path2)
     code, _, err = run(capsys, "check", str(path2))
     assert code == 2
     assert "height" in err
+
+
+# one-field mutations of a uq_sl2 file: (key path, replacement value)
+_MALFORMED = {
+    "heights_list": (("heights",), [3, 3]),
+    "L_ints": (("L",), [1, 2]),
+    "reds_list": (("reds",), [[]]),
+    "coeff_zero_division": (("reds", "12", 0, "coeff"), "1/0"),
+    "torsion_string": (("group", "torsion"), ["3"]),
+    "chi_bool": (("chi",), [[True], [2]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_check_malformed_file_exits_2_without_traceback(capsys, tmp_path, case):
+    path_in_file, value = _MALFORMED[case]
+    data = datum_to_dict(build_preset("uq_sl2").datum)
+    parent = data
+    for k in path_in_file[:-1]:
+        parent = parent[k]
+    parent[path_in_file[-1]] = value
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
 
 
 def test_check_json_mirrors_text(capsys, taft_file):

@@ -248,7 +248,7 @@ def tampered_uq_sl2():
     bad = NCPoly()
     bad.add_term(((), (0,)), d.field.one())
     bad.add_term(((), (1,)), -d.field.one())  # 1 - g instead of 1 - g^2
-    return replace(d, reds={(1, 2): bad}, _qexp={})
+    return replace(d, reds={(1, 2): bad})
 
 
 def test_tampered_datum_fails_with_witness():
@@ -260,7 +260,7 @@ def test_tampered_datum_fails_with_witness():
     assert failing and all(c.residue_terms > 0 for c in failing)
     assert any(c.used_fallback for c in failing)  # the span test confirmed
     # equivalence with the dimension drop
-    count = dimension(build_rules(d, rep.table))
+    count = dimension(d)
     assert quotient_rank(d, margin=2) < count
 
 
@@ -277,10 +277,10 @@ def test_verdict_matches_oracle_equivalence_both_directions():
     d = build_preset("radford", N=2).datum
     bad = NCPoly()
     bad.add_term(((), (1,)), d.field.one())
-    instances.append((replace(d, redhats={(1,): bad}, _qexp={}), 3))
+    instances.append((replace(d, redhats={(1,): bad}), 3))
     for datum, margin in instances:
         rep = check_pbw(datum)
-        count = dimension(build_rules(datum, rep.table))
+        count = dimension(datum)
         assert count <= 200
         rank = quotient_rank(datum, margin=margin)
         assert rep.passed == (rank == count), (rep.passed, rank, count)
@@ -455,8 +455,7 @@ def test_height_one_presentation_passes_and_counts():
     d = uq_sl2_three_letters()
     assert d.validate() == []
     assert check_pbw(d).passed and check_pbw(d, mode="reduced").passed
-    rules = build_rules(d, bracket_table(d))
-    assert dimension(rules) == 27
+    assert dimension(d) == 27
     assert quotient_rank(d) == 27
 
 

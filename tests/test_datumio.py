@@ -1,8 +1,11 @@
 """The JSON datum format: round trips, strictness, literal forms."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbw.algebra import Datum, GroupSpec, NCPoly
 from pbw.datumio import DatumFormatError, datum_from_dict, datum_to_dict, load_datum, save_datum
@@ -117,3 +120,53 @@ def test_word_literal_with_commas():
     data = datum_to_dict(build_preset("taft").datum)
     text = json.dumps(data)
     assert '"1"' in text  # single-letter words are digit strings
+
+
+# -- malformed input: a Datum or DatumFormatError, never anything else -------
+
+_FUZZ_PRESETS = ("uq_sl2", "radford", "quantum_plane", "lifting_a2_1a", "lifting_a2_2b")
+_FUZZ_DICTS = [datum_to_dict(build_preset(name).datum) for name in _FUZZ_PRESETS]
+
+
+def _paths(obj, prefix=()):
+    """Every position below the root of a JSON value, as a key path."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield prefix + (k,)
+        yield from _paths(v, prefix + (k,))
+
+
+_FUZZ_PATHS = [(i, path) for i, data in enumerate(_FUZZ_DICTS) for path in _paths(data)]
+_DELETE = object()
+
+# small integers keep field and group sizes cheap to construct
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.floats(-4, 4, allow_nan=False)
+    | st.sampled_from(["", "inf", "1/0", "3/2", "0", "12", "21", "1,2", "x", "-1"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["1", "word", "grp", "coeff", "torsion"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True, database=None)
+@given(st.sampled_from(_FUZZ_PATHS), st.just(_DELETE) | _JSON_VALUES)
+def test_single_field_mutations_load_or_raise_format_error(target, value):
+    index, path = target
+    data = copy.deepcopy(_FUZZ_DICTS[index])
+    parent = data
+    for k in path[:-1]:
+        parent = parent[k]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    try:
+        d = datum_from_dict(data)
+    except DatumFormatError:
+        return
+    assert isinstance(d, Datum)
+    assert isinstance(d.validate(), list)

@@ -17,10 +17,9 @@ from pbw.rewrite import (
     normal_form,
     pbw_monomials,
     pbw_words,
-    prec_diamond_cmp,
     reduce_bounded,
 )
-from pbw.words import prec_cmp, xlen
+from pbw.words import greatest_first, prec_cmp, xlen
 
 
 def rules_for(name, **kw):
@@ -52,11 +51,19 @@ def test_build_rules_rejects_incompatible_rhs():
         build_rules(d, bad_table)
 
 
-def test_prec_diamond_examples():
+def test_rewriting_order_greatest_first_examples():
     g, h = (0,), (1,)
-    assert prec_diamond_cmp((((2,), (1,)), g), (((1,), (2,)), h)) < 0
-    assert prec_diamond_cmp((((1,),), g), (((1,), (2,)), h)) < 0  # shorter
-    assert prec_diamond_cmp((((1, 2),), g), (((1, 2),), h)) == 0  # group part ignored
+
+    def greatest_monomial(*monos):
+        return min(monos, key=lambda m: greatest_first(m[0]))
+
+    # equal length: the lexicographically smaller word is the greater one
+    assert greatest_monomial((((2,), (1,)), g), (((1,), (2,)), h)) == (((1,), (2,)), h)
+    # the longer word is the greater one
+    assert greatest_monomial((((1,),), g), (((1,), (2,)), h)) == (((1,), (2,)), h)
+    # group parts are ignored: the first of two equal words wins
+    assert greatest_monomial((((1, 2),), g), (((1, 2),), h)) == (((1, 2),), g)
+    assert greatest_monomial((((1, 2),), h), (((1, 2),), g)) == (((1, 2),), h)
 
 
 def test_normal_form_examples():
@@ -159,8 +166,7 @@ def test_dimension_examples():
         ("uq_sl2", {"N": 3}, 27),
         ("quantum_plane", {}, None),
     ]:
-        _, rs = rules_for(name, **kw)
-        assert dimension(rs) == expected
+        assert dimension(build_preset(name, **kw).datum) == expected
 
 
 def test_hilbert_quantum_plane():
@@ -186,8 +192,8 @@ def test_oracle_matches_pbw_count_on_finite_presets():
         ("nichols_a1xa1", {}), ("lifting_a1xa1", {"N": 2}),
     ]
     for name, kw in cases:
-        p, rs = rules_for(name, **kw)
-        count = dimension(rs)
+        p = build_preset(name, **kw)
+        count = dimension(p.datum)
         assert count == p.expected_dimension
         assert count <= 200
         assert quotient_rank(p.datum) == count, name

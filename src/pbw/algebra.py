@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
 
-from .scalars import ord_of
+from .scalars import RootOfUnity, is_height_for_order
 from .words import c_set, format_word, greatest_first, is_shirshov_closed, shirshov_decompose, xlen
 
 
@@ -451,24 +451,14 @@ class Datum:
             if n < 1:
                 errors.append(f"height of {format_word(u)} must be >= 1")
                 continue
-            r = ord_of(self.q_uv(u, u))
+            # q_uu is the root zeta^q_exp(u, u), so its order is read off the exponent
+            r = RootOfUnity(self.q_exp(u, u), m).order()
+            if is_height_for_order(n, r, p):
+                continue
             if p == 0:
-                if n != r:
-                    errors.append(
-                        f"height {n} of {format_word(u)} differs from ord q_uu = {r}"
-                    )
+                errors.append(f"height {n} of {format_word(u)} differs from ord q_uu = {r}")
             else:
-                k = n
-                ok = k % r == 0
-                if ok:
-                    k //= r
-                    while k % p == 0:
-                        k //= p
-                    ok = k == 1
-                if not ok:
-                    errors.append(
-                        f"height {n} of {format_word(u)} is not p^k * ord q_uu (ord = {r}, p = {p})"
-                    )
+                errors.append(f"height {n} of {format_word(u)} is not p^k * ord q_uu (ord = {r}, p = {p})")
         cs = c_set(self.L)
         if set(self.reds) != set(cs):
             errors.append(

@@ -79,9 +79,7 @@ def _cmd_hilbert(args):
     if args.max_deg < 0:
         print("error: --max-deg must be >= 0", file=sys.stderr)
         return 2
-    d = _load(args.file)
-    rules = build_rules(d, bracket_table(d))
-    coeffs = hilbert(rules, args.max_deg)
+    coeffs = hilbert(_load(args.file), args.max_deg)
     print(" ".join(str(c) for c in coeffs))
     return 0
 
@@ -141,14 +139,14 @@ def _cmd_redundant(args):
     d = _load(args.file)
     table = bracket_table(d)
     found = []
-    members = set(d.L)
+    reds = set(d.reds)
     for u in d.L:
         for v in d.L:
-            if u < v and d.heights.get(u) == 2 and u + u + v in set(d.reds):
+            if u < v and d.heights.get(u) == 2 and u + u + v in reds:
                 rhs = forced_serre_from_power(d, u, v, "left")
                 if rhs == d.reds[u + u + v]:
                     found.append(f"red_{format_word(u + u + v)} is forced by the height-2 power at {format_word(u)}")
-            if u < v and d.heights.get(v) == 2 and u + v + v in set(d.reds):
+            if u < v and d.heights.get(v) == 2 and u + v + v in reds:
                 rhs = forced_serre_from_power(d, u, v, "right")
                 if rhs == d.reds[u + v + v]:
                     found.append(f"red_{format_word(u + v + v)} is forced by the height-2 power at {format_word(v)}")

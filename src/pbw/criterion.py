@@ -106,12 +106,13 @@ def leibniz_gt_element(datum, table, v, u) -> NCPoly:
 # ---------------------------------------------------------------------------
 
 def bounded_span_elements(rs: RuleSystem, bound):
-    """All rule elements in word contexts whose full word precedes the bound;
-    finite for a finite group.  Group letters on the left are absorbed by
-    character homogeneity, so contexts are words times a right group factor."""
+    """All rule elements a*(lhs - rhs)*b*h whose full word a*lhs*b precedes
+    the bound, for every element h of the group, which must be finite.
+    Group letters on the left are absorbed by character homogeneity, so
+    contexts are words times a right group factor."""
     datum = rs.datum
-    if not datum.group.is_finite():
-        raise ValueError("span enumeration needs a finite group")
+    els = datum.group.elements()
+    identity = datum.group.identity()
     letters = sorted(datum.L)
     lb = xlen(bound)
 
@@ -121,18 +122,9 @@ def bounded_span_elements(rs: RuleSystem, bound):
         all_words.extend(nxt)
         frontier = nxt
 
-    rules = []
-    for (u, v), rhs in rs.pair_rhs.items():
-        lhs = datum.monomial((u, v))
-        rules.append(((u, v), lhs - rhs))
-    for u, rhs in rs.power_rhs.items():
-        n = datum.heights[u]
-        rules.append(((u,) * n, datum.monomial((u,) * n) - rhs))
-
     out = []
-    els = datum.group.elements()
-    for lhs_word, elem in rules:
-        ll = xlen(lhs_word)
+    for lhs in rs.rules:
+        ll = xlen(lhs)
         for a in all_words:
             la = xlen(a)
             if la + ll > lb:
@@ -140,13 +132,13 @@ def bounded_span_elements(rs: RuleSystem, bound):
             for b in all_words:
                 if la + ll + xlen(b) > lb:
                     continue
-                site = a + lhs_word + b
-                if prec_cmp(site, bound) >= 0:
+                U = a + lhs + b
+                if prec_cmp(U, bound) >= 0:
                     continue
-                placed = rs.datum.mul_many(datum.monomial(a), elem, datum.monomial(b))
+                placed = datum.monomial(U) - rs.rewrite_at(U, identity, (len(a), len(a) + len(lhs)))
                 for h in els:
                     out.append(NCPoly({
-                        (U, datum.group.mul(g, h)): c for (U, g), c in placed.terms.items()
+                        (V, datum.group.mul(g, h)): c for (V, g), c in placed.terms.items()
                     }))
     return out
 
@@ -408,26 +400,12 @@ def generic_redundancies(datum, table=None):
     list of ("red", w) / ("redhat", u) labels."""
     if table is None:
         table = bracket_table(datum)
-    rules = build_rules(datum, table)
+    rules = build_rules(datum, table).rules
+    candidates = [(shirshov_decompose(w), ("red", w)) for w in sorted(datum.reds)]
+    candidates += [((u,) * datum.heights[u], ("redhat", u)) for u in sorted(datum.redhats)]
     out = []
-    for w in sorted(datum.reds):
-        u, v = shirshov_decompose(w)
-        elem = datum.monomial((u, v)) - rules.pair_rhs[(u, v)]
-        pruned = RuleSystem(
-            datum,
-            {k: r for k, r in rules.pair_rhs.items() if k != (u, v)},
-            rules.power_rhs,
-        )
-        if normal_form(pruned, elem).is_zero():
-            out.append(("red", w))
-    for u in sorted(datum.redhats):
-        n = datum.heights[u]
-        elem = datum.monomial((u,) * n) - rules.power_rhs[u]
-        pruned = RuleSystem(
-            datum,
-            rules.pair_rhs,
-            {k: r for k, r in rules.power_rhs.items() if k != u},
-        )
-        if normal_form(pruned, elem).is_zero():
-            out.append(("redhat", u))
+    for lhs, label in candidates:
+        pruned = RuleSystem(datum, {k: r for k, r in rules.items() if k != lhs})
+        if normal_form(pruned, datum.monomial(lhs) - rules[lhs]).is_zero():
+            out.append(label)
     return out

@@ -4,17 +4,29 @@ Top-level fields: theta, field, group, g, chi, L, heights, reds, redhats.
 Unknown fields are rejected.  Scalar literals: an integer is a root exponent
 (zeta^k), a string "a/b" is an exact rational, a list of "a/b" strings of
 length phi(m) is a cyclotomic coefficient vector.
+
+Sizes are limited so that loading and validating any accepted file takes well
+under a second: the conductor m (the field builds a phi(m) x phi(m) table),
+the prime p (found prime by trial division), every finite height (the check
+builds words of N + 1 letters), and the order of the group's torsion part
+(the span fallback and the basis enumeration list every group element).
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from .algebra import Datum, GroupSpec, NCPoly
 from .scalars import CycloField, PrimeField, parse_scalar_literal, scalar_literal
 from .words import format_word, parse_word
 
 _TOP_FIELDS = {"theta", "field", "group", "g", "chi", "L", "heights", "reds", "redhats"}
+
+MAX_CONDUCTOR = 1000
+MAX_PRIME = 10**9
+MAX_HEIGHT = 1000
+MAX_GROUP_ORDER = 10_000
 
 
 class DatumFormatError(ValueError):
@@ -71,9 +83,13 @@ def datum_from_dict(data: dict) -> Datum:
         "field must be {'cyclotomic': m} or {'prime': p}",
     )
     if "cyclotomic" in fspec:
-        field = _checked(CycloField, fspec["cyclotomic"])
+        m = fspec["cyclotomic"]
+        _require(m <= MAX_CONDUCTOR, f"conductor {m} is above the limit {MAX_CONDUCTOR}")
+        field = _checked(CycloField, m)
     elif "prime" in fspec:
-        field = _checked(PrimeField, fspec["prime"])
+        p = fspec["prime"]
+        _require(p <= MAX_PRIME, f"prime {p} is above the limit {MAX_PRIME}")
+        field = _checked(PrimeField, p)
     else:
         raise DatumFormatError("field must be {'cyclotomic': m} or {'prime': p}")
 
@@ -82,6 +98,8 @@ def datum_from_dict(data: dict) -> Datum:
     torsion, free_rank = gspec.get("torsion", []), gspec.get("free_rank", 0)
     _require(_is_int_list(torsion) and _is_int(free_rank), "group torsion is a list of integers, free_rank an integer")
     group = _checked(GroupSpec, tuple(torsion), free_rank)
+    order = math.prod(group.torsion)
+    _require(order <= MAX_GROUP_ORDER, f"group torsion order {order} is above the limit {MAX_GROUP_ORDER}")
 
     g_list = data["g"]
     _require(
@@ -111,6 +129,7 @@ def datum_from_dict(data: dict) -> Datum:
             heights[w] = None
         else:
             _require(_is_int(v) and v >= 1, f"height of {k} must be a positive integer or 'inf'")
+            _require(v <= MAX_HEIGHT, f"height {v} of {k} is above the limit {MAX_HEIGHT}")
             heights[w] = v
 
     def parse_poly(obj, where):

@@ -1,6 +1,10 @@
-"""Rewriting in canonical monomials: pair rules x_u x_v -> bracket rhs +
-q_{u,v} x_v x_u (u < v in L) and power rules x_u^{N_u} -> redhat rhs, with
-normal forms, bounded reduction, and PBW monomial counting.
+"""Rewriting in canonical monomials by one rule table: each left-hand side
+word maps to its right-hand side.  Pair rules x_u x_v -> bracket rhs +
+q_{u,v} x_v x_u (u < v in L) have the super word (u, v) as left-hand side,
+power rules x_u^{N_u} -> redhat rhs the word (u,) * N_u.  A site is the span
+(i, cut) of a left-hand side inside a word, and `rewrite_at` is the one rule
+application, used by normal forms, bounded reduction and the bounded span.
+PBW monomial counting reads only the datum.
 
 On canonical monomials the termination order reduces to the well-founded
 order on the letter words; every rewrite step strictly decreases it.
@@ -13,38 +17,32 @@ from .words import format_word, greatest_first, prec_cmp
 
 
 class RuleSystem:
-    def __init__(self, datum, pair_rhs, power_rhs):
+    def __init__(self, datum, rules):
         self.datum = datum
-        self.pair_rhs = pair_rhs        # (u, v) with u < v in L -> NCPoly
-        self.power_rhs = power_rhs      # u in D(L) -> NCPoly
-        self.heights = datum.heights
+        self.rules = rules              # left-hand side word -> NCPoly
+        # letter u -> (u,) * N_u, for the power rules present
+        self._powers = {lhs[0]: lhs for lhs in rules if _is_power(lhs)}
 
     def find_site(self, U, bound=None):
-        """Leftmost reducible site in the word U, power rules first at each
-        position; sites are admissible only when U precedes the bound."""
+        """Leftmost reducible site (i, cut) in the word U, power rules first
+        at each position; sites are admissible only when U precedes the
+        bound."""
         if bound is not None and prec_cmp(U, bound) >= 0:
             return None
         for i, u in enumerate(U):
-            n = self.heights.get(u)
-            if (
-                n is not None
-                and u in self.power_rhs
-                and i + n <= len(U)
-                and all(U[i + k] == u for k in range(1, n))
-            ):
-                return ("power", i, u, n)
-            if i + 1 < len(U) and (u, U[i + 1]) in self.pair_rhs:
-                return ("pair", i, u, U[i + 1])
+            power = self._powers.get(u)
+            if power is not None and U[i:i + len(power)] == power:
+                return (i, i + len(power))
+            if i + 1 < len(U) and U[i:i + 2] in self.rules:
+                return (i, i + 2)
         return None
 
     def rewrite_at(self, U, g, site):
-        """Replace the matched left-hand side inside (U, g); the rhs group
-        letters commute past the right context with character twists."""
-        kind, i, u, x = site
-        if kind == "power":
-            rhs, cut = self.power_rhs[u], i + x
-        else:
-            rhs, cut = self.pair_rhs[(u, x)], i + 2
+        """Replace the left-hand side U[i:cut] inside (U, g) by its right-hand
+        side; the rhs group letters commute past the right context with
+        character twists."""
+        i, cut = site
+        rhs = self.rules[U[i:cut]]
         d = self.datum
         left, right = U[:i], U[cut:]
         chi_right = d.chi_word([l for w in right for l in w])
@@ -55,27 +53,27 @@ class RuleSystem:
         return out
 
 
+def _is_power(lhs):
+    return lhs.count(lhs[0]) == len(lhs)
+
+
 def build_rules(datum, bracket_table) -> RuleSystem:
-    """Assemble the rule set from a complete bracket-reduction table; every
-    right-hand side is checked to precede its left-hand side."""
-    pair_rhs = {}
-    for (u, v), red in bracket_table.items():
-        rhs = red + datum.monomial((v, u)).scale(datum.q_uv(u, v))
-        _check_compatible(rhs, (u, v), f"pair rule {format_word(u)},{format_word(v)}")
-        pair_rhs[(u, v)] = rhs
-    power_rhs = {}
-    for u in datum.d_set():
-        n = datum.heights[u]
-        rhs = datum.redhats[u]
-        _check_compatible(rhs, (u,) * n, f"power rule {format_word(u)}^{n}")
-        power_rhs[u] = rhs
-    return RuleSystem(datum, pair_rhs, power_rhs)
-
-
-def _check_compatible(rhs, lhs_word, name):
-    for U, _g in rhs.terms:
-        if prec_cmp(U, lhs_word) >= 0:
+    """Assemble the rule table from a complete bracket-reduction table and
+    the datum's power relations; every right-hand side is checked to
+    precede its left-hand side."""
+    rules = {
+        (u, v): red + datum.monomial((v, u)).scale(datum.q_uv(u, v))
+        for (u, v), red in bracket_table.items()
+    }
+    rules.update(((u,) * datum.heights[u], datum.redhats[u]) for u in datum.d_set())
+    for lhs, rhs in rules.items():
+        if any(prec_cmp(U, lhs) >= 0 for U, _g in rhs.terms):
+            if _is_power(lhs):
+                name = f"power rule {format_word(lhs[0])}^{len(lhs)}"
+            else:
+                name = f"pair rule {format_word(lhs[0])},{format_word(lhs[1])}"
             raise ValueError(f"{name}: right-hand side term does not precede the left-hand side")
+    return RuleSystem(datum, rules)
 
 
 def _reduce(rs: RuleSystem, a: NCPoly, bound) -> NCPoly:
@@ -109,20 +107,16 @@ def reduce_bounded(rs: RuleSystem, a: NCPoly, bound) -> NCPoly:
     return _reduce(rs, a, tuple(tuple(u) for u in bound))
 
 
-def is_irreducible_word(rs: RuleSystem, U) -> bool:
-    return rs.find_site(U) is None
-
-
-def pbw_words(rs: RuleSystem, max_len=None):
+def pbw_words(datum, max_len=None):
     """Irreducible words: strictly decreasing letter blocks with exponents
     below the heights; each word is produced exactly once."""
-    letters = sorted(rs.datum.L, reverse=True)
+    letters = sorted(datum.L, reverse=True)
 
     def gen(start, remaining):
         yield ()
         for idx in range(start, len(letters)):
             u = letters[idx]
-            n = rs.heights[u]
+            n = datum.heights[u]
             r, lu = 1, len(u)
             while (n is None or r < n) and (remaining is None or r * lu <= remaining):
                 rem = None if remaining is None else remaining - r * lu
@@ -133,11 +127,11 @@ def pbw_words(rs: RuleSystem, max_len=None):
     return gen(0, max_len)
 
 
-def pbw_monomials(rs: RuleSystem, max_len=None):
+def pbw_monomials(datum, max_len=None):
     """Irreducible canonical monomials, one per irreducible word and group
     element; requires a finite group."""
-    els = rs.datum.group.elements()
-    for w in pbw_words(rs, max_len):
+    els = datum.group.elements()
+    for w in pbw_words(datum, max_len):
         for g in els:
             yield (w, g)
 
@@ -155,12 +149,12 @@ def dimension(datum):
     return total
 
 
-def hilbert(rs: RuleSystem, max_deg: int):
+def hilbert(datum, max_deg: int):
     """Counts of irreducible words by original-letter length, degrees
     0..max_deg (group factors not counted)."""
     coeffs = [1] + [0] * max_deg
-    for u in rs.datum.L:
-        n = rs.heights[u]
+    for u in datum.L:
+        n = datum.heights[u]
         lu = len(u)
         rmax = max_deg // lu if n is None else min(n - 1, max_deg // lu)
         factor = [0] * (max_deg + 1)

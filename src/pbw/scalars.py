@@ -588,9 +588,14 @@ def binom_vanishes_closed_form(n: int, q) -> bool:
     r = ord_of(q)
     if r is None:
         return False
-    p = q.field.characteristic
+    return is_height_for_order(n, r, q.field.characteristic)
+
+
+def is_height_for_order(n: int, r: int, p: int) -> bool:
+    """Whether n is the height of a root of unity of order r in
+    characteristic p: n = r when p = 0, n = p^k r for some k >= 0 otherwise."""
     if p == 0:
-        return r == n
+        return n == r
     if n % r:
         return False
     k = n // r

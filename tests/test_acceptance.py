@@ -303,8 +303,7 @@ def test_criterion_6_combinatorics():
 
 def test_criterion_7_infinite_cases():
     p = build_preset("quantum_plane")
-    rules = build_rules(p.datum, bracket_table(p.datum))
-    assert hilbert(rules, 10) == [d + 1 for d in range(11)]
+    assert hilbert(p.datum, 10) == [d + 1 for d in range(11)]
 
     p = build_preset("weyl")
     d = p.datum

@@ -5,9 +5,10 @@ from dataclasses import replace
 
 import pytest
 
+from pbw import cli, criterion
 from pbw.algebra import NCPoly
 from pbw.cli import main
-from pbw.datumio import datum_to_dict, save_datum
+from pbw.datumio import MAX_CONDUCTOR, MAX_GROUP_ORDER, MAX_HEIGHT, MAX_PRIME, datum_to_dict, save_datum
 from pbw.exprs import ExprError, parse_expr
 from pbw.presets import PRESET_NAMES, build_preset
 
@@ -81,9 +82,7 @@ _MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_MALFORMED))
-def test_check_malformed_file_exits_2_without_traceback(capsys, tmp_path, case):
-    path_in_file, value = _MALFORMED[case]
+def _mutated_uq_sl2_file(tmp_path, case, path_in_file, value):
     data = datum_to_dict(build_preset("uq_sl2").datum)
     parent = data
     for k in path_in_file[:-1]:
@@ -91,9 +90,31 @@ def test_check_malformed_file_exits_2_without_traceback(capsys, tmp_path, case):
     parent[path_in_file[-1]] = value
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(data))
-    code, out, err = run(capsys, "check", str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_check_malformed_file_exits_2_without_traceback(capsys, tmp_path, case):
+    code, out, err = run(capsys, "check", _mutated_uq_sl2_file(tmp_path, case, *_MALFORMED[case]))
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
+# one-field mutations just past each size limit of the loader
+_OVERSIZED = {
+    "conductor": (("field",), {"cyclotomic": MAX_CONDUCTOR + 1}),
+    "prime": (("field",), {"prime": 1_000_000_007}),  # the least prime above MAX_PRIME
+    "height": (("heights", "1"), MAX_HEIGHT + 1),
+    "group_order": (("group", "torsion"), [MAX_GROUP_ORDER + 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERSIZED))
+def test_check_refuses_a_file_past_a_size_limit(capsys, tmp_path, case):
+    code, out, err = run(capsys, "check", _mutated_uq_sl2_file(tmp_path, case, *_OVERSIZED[case]))
+    assert code == 2
+    assert err.startswith("error: ") and "above the limit" in err
     assert out == ""
 
 
@@ -134,6 +155,16 @@ def test_dim_and_hilbert(capsys, taft_file, qplane_file):
     assert out.strip() == "infinite"
     code, out, _ = run(capsys, "hilbert", qplane_file, "--max-deg", "10")
     assert out.split() == [str(d + 1) for d in range(11)]
+
+
+def test_hilbert_builds_no_bracket_table(capsys, monkeypatch, taft_file):
+    def refuse(*_args):
+        raise AssertionError("word counts read only the datum")
+
+    monkeypatch.setattr(cli, "bracket_table", refuse)
+    monkeypatch.setattr(criterion, "bracket_table", refuse)
+    code, out, _ = run(capsys, "hilbert", taft_file, "--max-deg", "4")
+    assert code == 0 and out.split() == ["1", "1", "1", "0", "0"]
 
 
 def test_lyndon_and_shirshov(capsys):

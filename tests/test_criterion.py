@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from pbw import criterion
 from pbw.algebra import Datum, GroupSpec, NCPoly
 from pbw.criterion import (
     bracket_table,
@@ -21,6 +22,7 @@ from pbw.oracle import quotient_rank
 from pbw.presets import build_preset
 from pbw.rewrite import build_rules, dimension, normal_form, reduce_bounded
 from pbw.scalars import CycloField
+from pbw.words import prec_cmp, xlen
 
 
 def rank2_scaffold(m, q11, q12, q21, q22, heights=None):
@@ -262,6 +264,53 @@ def test_tampered_datum_fails_with_witness():
     # equivalence with the dimension drop
     count = dimension(d)
     assert quotient_rank(d, margin=2) < count
+
+
+def tampered_lifting_a1xa1():
+    d = build_preset("lifting_a1xa1", N=2).datum
+    bad = NCPoly()
+    bad.add_term(((), (0, 0)), d.field.one())
+    bad.add_term(((), (1, 0)), -d.field.one())  # 1 - g1 instead of 1 - g1 g2
+    return replace(d, reds={(1, 2): bad})
+
+
+def span_elements_by_multiplication(rs, bound):
+    """Reference for bounded_span_elements, built by smash-product
+    multiplication: a*(lhs - rhs)*b*h for every rule, every pair of word
+    contexts with a*lhs*b below the bound, and every group element h."""
+    d = rs.datum
+    words, frontier = [()], [()]
+    while frontier:
+        frontier = [w + (l,) for w in frontier for l in sorted(d.L) if xlen(w) + len(l) <= xlen(bound)]
+        words.extend(frontier)
+    out = []
+    for lhs, rhs in rs.rules.items():
+        elem = d.monomial(lhs) - rhs
+        for a in words:
+            for b in words:
+                U = a + lhs + b
+                if xlen(U) <= xlen(bound) and prec_cmp(U, bound) < 0:
+                    placed = d.mul(d.mul(d.monomial(a), elem), d.monomial(b))
+                    out.extend(d.mul(placed, d.group_like(h)) for h in d.group.elements())
+    return out
+
+
+def test_bounded_span_places_rule_elements_as_multiplication_does(monkeypatch):
+    calls = []
+    original = criterion.bounded_span_elements
+
+    def recording(rs, bound):
+        out = original(rs, bound)
+        calls.append((rs, bound, out))
+        return out
+
+    monkeypatch.setattr(criterion, "bounded_span_elements", recording)
+    for d in (tampered_uq_sl2(), tampered_lifting_a1xa1()):
+        before = len(calls)
+        assert not check_pbw(d).passed
+        assert len(calls) > before  # the span fallback decided some condition
+    for rs, bound, out in calls:
+        assert out == span_elements_by_multiplication(rs, bound), bound
 
 
 def test_verdict_matches_oracle_equivalence_both_directions():

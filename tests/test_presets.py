@@ -5,7 +5,7 @@ import pytest
 
 from pbw.criterion import bracket_table, check_pbw
 from pbw.presets import PRESET_NAMES, build_preset
-from pbw.rewrite import build_rules, hilbert, pbw_monomials
+from pbw.rewrite import hilbert, pbw_monomials
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -17,9 +17,8 @@ def test_preset_validates_and_passes(name):
     reduced = check_pbw(p.datum, mode="reduced", table=table)
     assert full.passed, [c.line() for c in full.conditions if not c.passed]
     assert reduced.passed
-    rules = build_rules(p.datum, table)
     if p.expected_dimension is not None:
-        assert sum(1 for _ in pbw_monomials(rules)) == p.expected_dimension
+        assert sum(1 for _ in pbw_monomials(p.datum)) == p.expected_dimension
 
 
 def test_expected_dimensions():
@@ -54,8 +53,7 @@ def test_lifting_a2_1a_dimension_is_eight_times_group_order():
 def test_infinite_presets_count_words_of_each_length():
     for name in ("quantum_plane", "weyl"):
         p = build_preset(name)
-        rules = build_rules(p.datum, bracket_table(p.datum))
-        assert hilbert(rules, 10) == list(range(1, 12))
+        assert hilbert(p.datum, 10) == list(range(1, 12))
 
 
 def test_parameter_validation():

@@ -13,7 +13,6 @@ from pbw.rewrite import (
     build_rules,
     dimension,
     hilbert,
-    is_irreducible_word,
     normal_form,
     pbw_monomials,
     pbw_words,
@@ -29,18 +28,20 @@ def rules_for(name, **kw):
 
 def test_build_rules_examples():
     _, rs = rules_for("quantum_plane")
-    assert list(rs.pair_rhs) == [((1,), (2,))]
-    assert not rs.power_rhs
+    assert list(rs.rules) == [((1,), (2,))]
     d = rs.datum
-    assert rs.pair_rhs[((1,), (2,))] == d.monomial(((2,), (1,))).scale(d.q_uv((1,), (2,)))
+    assert rs.rules[((1,), (2,))] == d.monomial(((2,), (1,))).scale(d.q_uv((1,), (2,)))
 
     _, rs = rules_for("taft")
-    assert not rs.pair_rhs
-    assert rs.power_rhs[(1,)].is_zero()
+    power = ((1,),) * rs.datum.heights[(1,)]
+    assert list(rs.rules) == [power]
+    assert rs.rules[power].is_zero()
 
     _, rs = rules_for("lifting_a2_1a")
-    assert sorted(rs.pair_rhs) == [((1,), (1, 2)), ((1,), (2,)), ((1, 2), (2,))]
-    assert sorted(rs.power_rhs) == [(1,), (1, 2), (2,)]
+    pairs = [lhs for lhs in rs.rules if lhs[0] != lhs[-1]]
+    powers = [lhs for lhs in rs.rules if lhs[0] == lhs[-1]]
+    assert sorted(pairs) == [((1,), (1, 2)), ((1,), (2,)), ((1, 2), (2,))]
+    assert sorted(powers) == sorted((u,) * rs.datum.heights[u] for u in [(1,), (1, 2), (2,)])
 
 
 def test_build_rules_rejects_incompatible_rhs():
@@ -132,7 +133,7 @@ def test_reduce_bounded():
     d = p.datum
     assert reduce_bounded(rs, NCPoly.zero(), ((1,), (2,))).is_zero()
     # a rule element placed below the bound reduces to zero
-    elem = d.monomial(((1,), (2,))) - rs.pair_rhs[((1,), (2,))]
+    elem = d.monomial(((1,), (2,))) - rs.rules[((1,), (2,))]
     assert reduce_bounded(rs, elem, ((1,), (2,), (2,))).is_zero()
     # sites at or beyond the bound are left alone
     blocked = reduce_bounded(rs, d.monomial(((1,), (2,))), ((1,), (2,)))
@@ -142,20 +143,19 @@ def test_reduce_bounded():
 def test_pbw_words_match_irreducibility():
     p, rs = rules_for("uq_sl2")
     letters = sorted(rs.datum.L)
-    produced = set(pbw_words(rs, 8))
+    produced = set(pbw_words(rs.datum, 8))
 
     frontier = [()]
     everything = [()]
     while frontier:
         frontier = [w + (l,) for w in frontier for l in letters if xlen(w) + len(l) <= 8]
         everything.extend(frontier)
-    expected = {w for w in everything if is_irreducible_word(rs, w)}
+    expected = {w for w in everything if rs.find_site(w) is None}
     assert produced == expected
 
 
 def test_pbw_monomials_carry_every_group_element():
-    p, rs = rules_for("taft", N=2)
-    monos = list(pbw_monomials(rs))
+    monos = list(pbw_monomials(build_preset("taft", N=2).datum))
     assert len(monos) == 4
     assert {g for _w, g in monos} == {(0,), (1,)}
 
@@ -170,16 +170,15 @@ def test_dimension_examples():
 
 
 def test_hilbert_quantum_plane():
-    _, rs = rules_for("quantum_plane")
-    assert hilbert(rs, 5) == [1, 2, 3, 4, 5, 6]
+    assert hilbert(build_preset("quantum_plane").datum, 5) == [1, 2, 3, 4, 5, 6]
 
 
 def test_hilbert_counts_irreducible_words_by_length():
     for name in ("uq_sl2", "lifting_a2_2b", "b2_scaffold"):
-        _, rs = rules_for(name)
-        coeffs = hilbert(rs, 6)
+        d = build_preset(name).datum
+        coeffs = hilbert(d, 6)
         counted = [0] * 7
-        for w in pbw_words(rs, 6):
+        for w in pbw_words(d, 6):
             counted[xlen(w)] += 1
         assert coeffs == counted
 

@@ -135,9 +135,6 @@ class NCPoly:
             return NCPoly.zero()
         return NCPoly({m: c * s for m, c in self.terms.items()})
 
-    def monomials(self):
-        return self.terms.keys()
-
     def __repr__(self):
         return f"NCPoly({format_poly(self)})"
 
@@ -407,9 +404,6 @@ class Datum:
         return out
 
     # -- validation ----------------------------------------------------------
-
-    def height(self, u):
-        return self.heights[tuple(u)]
 
     def d_set(self):
         return tuple(u for u in self.L if self.heights[u] is not None)

@@ -223,62 +223,44 @@ class PBWReport:
         }
 
 
-def _jacobi_triples(datum, mode):
-    members = set(datum.L)
-    for i, u in enumerate(datum.L):
-        for j in range(i + 1, len(datum.L)):
-            v = datum.L[j]
-            if mode == "reduced":
-                w0 = u + v
-                if w0 in members and shirshov_decompose(w0) == (u, v):
-                    continue
-            for k in range(j + 1, len(datum.L)):
-                yield u, v, datum.L[k]
-
-
-def _leibniz_pairs(datum, mode):
-    """Yields ("le", u, v) for u <= v and ("gt", v, u) for v < u, u of finite
-    height, thinned in reduced mode."""
-    members = set(datum.L)
+def _conditions(datum, table, mode):
+    """The q-Jacobi conditions, then the restricted q-Leibniz conditions at
+    each u of finite height, as (kind, words, test element, bound word).
+    Reduced mode skips the conditions that the others imply."""
+    L = datum.L
+    members = set(L)
+    for i, u in enumerate(L):
+        for j in range(i + 1, len(L)):
+            v = L[j]
+            if mode == "reduced" and u + v in members and shirshov_decompose(u + v) == (u, v):
+                continue
+            for w in L[j + 1:]:
+                yield "jacobi", (u, v, w), jacobi_element(datum, table, u, v, w), (u, v, w)
     for u in datum.d_set():
-        yield ("self", u, u)
-        for v in datum.L:
+        n = datum.heights[u]
+        yield "leibniz_self", (u,), leibniz_self_element(datum, u), (u,) * (n + 1)
+        for v in L:
             if v > u:
                 if mode == "reduced" and any(v == u + t for t in members):
                     continue
-                yield ("le", u, v)
+                yield "leibniz_le", (u, v), leibniz_le_element(datum, table, u, v), (u,) * n + (v,)
             elif v < u:
                 if mode == "reduced" and any(v == t + u for t in members):
                     continue
-                yield ("gt", v, u)
+                yield "leibniz_gt", (v, u), leibniz_gt_element(datum, table, v, u), (v,) + (u,) * n
 
 
-def check_pbw(datum, mode="full", table=None) -> PBWReport:
+def check_pbw(datum, mode="full") -> PBWReport:
     """Evaluate the q-Jacobi and restricted q-Leibniz conditions; each test
     element must lie in the span of rule elements placed below its bound."""
     if mode not in ("full", "reduced"):
         raise ValueError("mode must be 'full' or 'reduced'")
-    if table is None:
-        table = bracket_table(datum)
+    table = bracket_table(datum)
     rules = build_rules(datum, table)
     conditions = []
-
-    def record(kind, words, element, bound):
+    for kind, words, element, bound in _conditions(datum, table, mode):
         ok, residue, fb = in_bounded_ideal(rules, element, bound)
         conditions.append(ConditionReport(kind, words, ok, element, residue, fb))
-
-    for u, v, w in _jacobi_triples(datum, mode):
-        record("jacobi", (u, v, w), jacobi_element(datum, table, u, v, w), (u, v, w))
-    for kind, a, b in _leibniz_pairs(datum, mode):
-        if kind == "self":
-            n = datum.heights[a]
-            record("leibniz_self", (a,), leibniz_self_element(datum, a), (a,) * (n + 1))
-        elif kind == "le":
-            n = datum.heights[a]
-            record("leibniz_le", (a, b), leibniz_le_element(datum, table, a, b), (a,) * n + (b,))
-        else:
-            n = datum.heights[b]
-            record("leibniz_gt", (a, b), leibniz_gt_element(datum, table, a, b), (a,) + (b,) * n)
     return PBWReport(mode, conditions, table)
 
 
@@ -394,12 +376,10 @@ def _need_letters(datum, needed, level):
         raise ValueError(f"{level} needs L to contain {missing}")
 
 
-def generic_redundancies(datum, table=None):
+def generic_redundancies(datum, table):
     """Relations implied by the others: drop one rule, reduce its element by
     the remaining system, redundant when the normal form is zero.  Returns a
     list of ("red", w) / ("redhat", u) labels."""
-    if table is None:
-        table = bracket_table(datum)
     rules = build_rules(datum, table).rules
     candidates = [(shirshov_decompose(w), ("red", w)) for w in sorted(datum.reds)]
     candidates += [((u,) * datum.heights[u], ("redhat", u)) for u in sorted(datum.redhats)]

@@ -100,24 +100,22 @@ def _all_words(theta, max_len):
     return out
 
 
-def quotient_rank(datum, max_len=None, margin=0) -> int:
+def quotient_rank(datum, margin=0) -> int:
     """Dimension of the span of words*group modulo the degree-truncated ideal
     span; for a confluent presentation this equals the true dimension once
-    max_len reaches the longest basis monomial.
+    the truncation length reaches the longest basis monomial.
 
-    Requires a finite group.  max_len defaults to the total nilpotency length
-    plus the margin.
+    Requires a finite group.  The truncation length is the total nilpotency
+    length plus the margin.
     """
     if not datum.group.is_finite():
         raise ValueError("quotient rank needs a finite group")
-    if max_len is None:
-        total = 0
-        for u in datum.L:
-            n = datum.heights[u]
-            if n is None:
-                raise ValueError("quotient rank needs finite heights")
-            total += (n - 1) * len(u)
-        max_len = total + margin
+    max_len = margin
+    for u in datum.L:
+        n = datum.heights[u]
+        if n is None:
+            raise ValueError("quotient rank needs finite heights")
+        max_len += (n - 1) * len(u)
 
     gens = ideal_generators_expanded(datum)
     words = _all_words(datum.theta, max_len)

@@ -629,18 +629,10 @@ def parse_scalar_literal(lit, field):
 
 
 def scalar_literal(x):
-    """Inverse of parse_scalar_literal, preferring the most compact form."""
+    """Inverse of parse_scalar_literal.  Over Q(zeta_m) the most compact
+    form; over F_p the residue, whose root exponent would cost a discrete
+    logarithm to find."""
     if isinstance(x, Fp):
-        f = x.field
-        if x.value != 0:
-            acc, k = f.generator % f.p, 1
-            if x.value == 1:
-                return 0
-            while k <= f.unit_order:
-                if acc == x.value:
-                    return k
-                acc = acc * f.generator % f.p
-                k += 1
         return str(x.value)
     f = x.field
     for k in range(f.m):

@@ -8,9 +8,6 @@ with the prefix rule, so plain comparisons are used throughout.
 
 from __future__ import annotations
 
-Word = tuple
-SuperWord = tuple
-
 
 def lex_cmp(u, v) -> int:
     """-1 / 0 / +1 for u < v / u = v / u > v in lexicographic order."""

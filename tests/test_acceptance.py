@@ -58,9 +58,8 @@ def test_criterion_2_lifting_cases():
     for name in ("lifting_a2_1a", "lifting_a2_2b", "lifting_a2_4a", "lifting_a2_4b"):
         t0 = time.time()
         p = build_preset(name)
-        table = bracket_table(p.datum)
-        full = check_pbw(p.datum, mode="full", table=table)
-        reduced = check_pbw(p.datum, mode="reduced", table=table)
+        full = check_pbw(p.datum, mode="full")
+        reduced = check_pbw(p.datum, mode="reduced")
         assert full.passed and reduced.passed, name
         if name == "lifting_a2_1a":
             assert dimension(p.datum) == 8 * p.datum.group.order()
@@ -325,9 +324,8 @@ def test_criterion_8_mode_agreement():
     assert len(instances) >= 20
     agreed = 0
     for desc, datum in instances:
-        table = bracket_table(datum)
-        full = check_pbw(datum, mode="full", table=table)
-        reduced = check_pbw(datum, mode="reduced", table=table)
+        full = check_pbw(datum, mode="full")
+        reduced = check_pbw(datum, mode="reduced")
         assert full.passed == reduced.passed, desc
         agreed += 1
     report("criterion 8 (full and reduced verdicts agree)", True, f"{agreed} instances")

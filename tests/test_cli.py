@@ -183,6 +183,18 @@ def test_hilbert_rejects_negative_degree(capsys, qplane_file):
     assert code == 2
 
 
+def test_hilbert_refuses_a_degree_past_the_limit(capsys, qplane_file):
+    code, out, err = run(capsys, "hilbert", qplane_file, "--max-deg", str(cli.MAX_HILBERT_DEGREE + 1))
+    assert code == 2 and out == ""
+    assert err == f"error: --max-deg must be between 0 and {cli.MAX_HILBERT_DEGREE}\n"
+
+
+def test_hilbert_takes_the_largest_degree(capsys, qplane_file):
+    code, out, _ = run(capsys, "hilbert", qplane_file, "--max-deg", str(cli.MAX_HILBERT_DEGREE))
+    assert code == 0
+    assert out.split() == [str(k + 1) for k in range(cli.MAX_HILBERT_DEGREE + 1)]
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_preset_roundtrip_checks_out(capsys, tmp_path, name):
     path = tmp_path / f"{name}.json"
@@ -200,6 +212,13 @@ def test_preset_params(capsys, tmp_path):
     assert out.strip() == "16"
     code, _, err = run(capsys, "preset", "taft", "--param", "N=1", "-o", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("param", ["N", "N=1/0", "N=x"])
+def test_preset_refuses_a_malformed_parameter(capsys, param):
+    code, out, err = run(capsys, "preset", "taft", "--param", param)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_redundant(capsys, tmp_path):

@@ -19,7 +19,7 @@ from pbw.criterion import (
     in_bounded_ideal,
 )
 from pbw.oracle import quotient_rank
-from pbw.presets import build_preset
+from pbw.presets import PRESET_NAMES, build_preset
 from pbw.rewrite import build_rules, dimension, normal_form, reduce_bounded
 from pbw.scalars import CycloField
 from pbw.words import prec_cmp, xlen
@@ -211,14 +211,67 @@ def test_leibniz_le_lifting_cancellation():
 
 
 def test_check_pbw_passes_all_presets_both_modes():
-    from pbw.presets import PRESET_NAMES
-
     for name in PRESET_NAMES:
         d = build_preset(name).datum
         full = check_pbw(d, mode="full")
         reduced = check_pbw(d, mode="reduced")
         assert full.passed and reduced.passed, name
         assert len(reduced.conditions) <= len(full.conditions)
+
+
+# The order in which check_pbw reports its conditions, by alphabet L: the
+# Jacobi triples, then the Leibniz conditions at each u of finite height.
+_A1 = "leibniz(1;1=1)"
+_A1XA1 = "leibniz(1;1=1) leibniz(1;1<2) leibniz(2;2=2) leibniz(2;1<2)"
+_A2_FULL = (
+    "jacobi(1<12<2) leibniz(1;1=1) leibniz(1;1<12) leibniz(1;1<2) leibniz(12;12=12) leibniz(12;1<12)"
+    " leibniz(12;12<2) leibniz(2;2=2) leibniz(2;1<2) leibniz(2;12<2)"
+)
+_A2_REDUCED = (
+    "jacobi(1<12<2) leibniz(1;1=1) leibniz(1;1<2) leibniz(12;12=12) leibniz(12;1<12) leibniz(12;12<2)"
+    " leibniz(2;2=2) leibniz(2;1<2)"
+)
+_B2_FULL = (
+    "jacobi(1<112<12) jacobi(1<112<2) jacobi(1<12<2) jacobi(112<12<2) leibniz(1;1=1) leibniz(1;1<112)"
+    " leibniz(1;1<12) leibniz(1;1<2) leibniz(112;112=112) leibniz(112;1<112) leibniz(112;112<12)"
+    " leibniz(112;112<2) leibniz(12;12=12) leibniz(12;1<12) leibniz(12;112<12) leibniz(12;12<2)"
+    " leibniz(2;2=2) leibniz(2;1<2) leibniz(2;112<2) leibniz(2;12<2)"
+)
+_B2_REDUCED = (
+    "jacobi(1<112<12) jacobi(1<112<2) jacobi(112<12<2) leibniz(1;1=1) leibniz(1;1<2) leibniz(112;112=112)"
+    " leibniz(112;1<112) leibniz(112;112<12) leibniz(112;112<2) leibniz(12;12=12) leibniz(12;1<12)"
+    " leibniz(12;12<2) leibniz(2;2=2) leibniz(2;1<2) leibniz(2;112<2)"
+)
+_CONDITION_ORDER = {  # preset: (full mode, reduced mode)
+    "taft": (_A1, _A1),
+    "radford": (_A1, _A1),
+    "nichols_a1": (_A1, _A1),
+    "lifting_a1": (_A1, _A1),
+    "book": (_A1XA1, _A1XA1),
+    "uq_sl2": (_A1XA1, _A1XA1),
+    "nichols_a1xa1": (_A1XA1, _A1XA1),
+    "lifting_a1xa1": (_A1XA1, _A1XA1),
+    "quantum_plane": ("", ""),
+    "weyl": ("", ""),
+    "b2_scaffold": (_B2_FULL, _B2_REDUCED),
+    "lifting_a2_1a": (_A2_FULL, _A2_REDUCED),
+    "lifting_a2_1b": (_A2_FULL, _A2_REDUCED),
+    "lifting_a2_1c": (_A2_FULL, _A2_REDUCED),
+    "lifting_a2_2a": (_A2_FULL, _A2_REDUCED),
+    "lifting_a2_2b": (_A2_FULL, _A2_REDUCED),
+    "lifting_a2_3a": (_A2_FULL, _A2_REDUCED),
+    "lifting_a2_3b": (_A2_FULL, _A2_REDUCED),
+    "lifting_a2_4a": (_A2_FULL, _A2_REDUCED),
+    "lifting_a2_4b": (_A2_FULL, _A2_REDUCED),
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_condition_order_is_pinned(name):
+    full, reduced = _CONDITION_ORDER[name]
+    d = build_preset(name).datum
+    for mode, expected in (("full", full), ("reduced", reduced)):
+        assert [c.condition_id for c in check_pbw(d, mode).conditions] == expected.split(), mode
 
 
 def test_reduced_mode_drops_the_documented_conditions():
@@ -512,12 +565,13 @@ def test_generic_redundancies():
     # with the height-one power rule available, both commutator relations
     # rewrite to zero on their own
     d = uq_sl2_three_letters()
-    got = generic_redundancies(d)
+    got = generic_redundancies(d, bracket_table(d))
     assert ("red", (1, 1, 2)) in got
     assert ("red", (1, 2, 2)) in got
     # the helper is conservative: Jacobi-forced redundancies need their
     # own rule to rewrite, so plain reduction does not flag them
-    assert generic_redundancies(build_preset("b2_scaffold").datum) == []
+    d = build_preset("b2_scaffold").datum
+    assert generic_redundancies(d, bracket_table(d)) == []
 
 
 def test_condition_report_serialization():

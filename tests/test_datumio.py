@@ -100,6 +100,25 @@ def test_prime_field_datum_round_trips(tmp_path):
     assert d2.field == f and d2.redhats == d.redhats
 
 
+def test_large_prime_field_datum_round_trips(tmp_path):
+    # coefficients over F_p are written as residues, so saving costs no
+    # discrete logarithm even for a prime near the size limit
+    f = PrimeField(999_999_937)
+    gs = GroupSpec((2,))
+    red = NCPoly()
+    red.add_term(((), (0,)), f.element(123_456_789))
+    d = Datum(
+        theta=1, field=f, group=gs, g=(gs.element((1,)),), chi=((f.unit_order // 2,),),
+        L=((1,),), heights={(1,): 2}, reds={}, redhats={(1,): red},
+    )
+    assert d.validate() == []
+    path = tmp_path / "fp_large.json"
+    save_datum(d, path)
+    assert json.loads(path.read_text())["redhats"]["1"][0]["coeff"] == "123456789"
+    d2 = load_datum(path)
+    assert d2.field == f and d2.redhats == d.redhats
+
+
 def test_char_p_height_shape_accepts_p_powers():
     # q11 = 1 has order 1; heights p^k are the valid shapes in char p
     f = PrimeField(2)

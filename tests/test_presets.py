@@ -3,7 +3,7 @@ the advertised dimension; coefficient admissibility is enforced."""
 
 import pytest
 
-from pbw.criterion import bracket_table, check_pbw
+from pbw.criterion import check_pbw
 from pbw.presets import PRESET_NAMES, build_preset
 from pbw.rewrite import hilbert, pbw_monomials
 
@@ -12,9 +12,8 @@ from pbw.rewrite import hilbert, pbw_monomials
 def test_preset_validates_and_passes(name):
     p = build_preset(name)
     assert p.datum.validate() == []
-    table = bracket_table(p.datum)
-    full = check_pbw(p.datum, mode="full", table=table)
-    reduced = check_pbw(p.datum, mode="reduced", table=table)
+    full = check_pbw(p.datum, mode="full")
+    reduced = check_pbw(p.datum, mode="reduced")
     assert full.passed, [c.line() for c in full.conditions if not c.passed]
     assert reduced.passed
     if p.expected_dimension is not None:

@@ -25,12 +25,15 @@ from .words import c_set, format_word, greatest_first, is_shirshov_closed, shirs
 class GroupSpec:
     torsion: tuple[int, ...] = ()
     free_rank: int = 0
+    # derived: the modulus of each factor, 0 for a free one
+    _moduli: tuple = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(m < 2 for m in self.torsion):
             raise ValueError("torsion orders must be >= 2")
         if self.free_rank < 0:
             raise ValueError("free rank must be >= 0")
+        object.__setattr__(self, "_moduli", tuple(self.torsion) + (0,) * self.free_rank)
 
     @property
     def nfactors(self):
@@ -54,13 +57,11 @@ class GroupSpec:
         exps = tuple(exps)
         if len(exps) != self.nfactors:
             raise ValueError("wrong number of exponents")
-        return tuple(
-            e % m if i < len(self.torsion) else e
-            for i, (e, m) in enumerate(zip(exps, list(self.torsion) + [0] * self.free_rank))
-        )
+        return tuple(e % m if m else e for e, m in zip(exps, self._moduli))
 
     def mul(self, a, b):
-        return self.element(x + y for x, y in zip(a, b))
+        """Product of two elements, both already in normal form."""
+        return tuple((x + y) % m if m else x + y for x, y, m in zip(a, b, self._moduli))
 
     def power(self, a, n):
         return self.element(x * n for x in a)
@@ -193,6 +194,7 @@ class Datum:
     # derived tables, owned by each instance: dataclasses.replace builds new ones
     _qexp: dict = dc_field(init=False, repr=False, compare=False)         # (i, j) -> exponent of q_ij
     _expansions: dict = dc_field(init=False, repr=False, compare=False)   # Lyndon word -> NCPoly
+    _letter_chi: dict = dc_field(init=False, repr=False, compare=False)   # member of L -> its character
 
     def __post_init__(self):
         m = self.field.unit_order
@@ -203,6 +205,15 @@ class Datum:
         }
         object.__setattr__(self, "_qexp", qexp)
         object.__setattr__(self, "_expansions", {})
+        # members with a letter out of range or a character of the wrong
+        # length are left to validate(); chi_word covers them on use
+        n = self.group.nfactors
+        letter_chi = {
+            u: self.chi_word(u)
+            for u in self.L
+            if all(1 <= i <= len(self.chi) and len(self.chi[i - 1]) == n for i in u)
+        }
+        object.__setattr__(self, "_letter_chi", letter_chi)
 
     # -- bicharacter ---------------------------------------------------
 
@@ -225,6 +236,15 @@ class Datum:
                 out[f] += self.chi[i - 1][f]
         return tuple(out)
 
+    def word_chi(self, U):
+        """Character degree of the super word U, summed from the per-letter
+        table."""
+        out = (0,) * self.group.nfactors
+        for l in U:
+            chi = self._letter_chi.get(l)
+            out = tuple(map(sum, zip(out, chi if chi is not None else self.chi_word(l))))
+        return out
+
     def g_word(self, u):
         return reduce(self.group.mul, (self.g[i - 1] for i in u), self.group.identity())
 
@@ -233,6 +253,11 @@ class Datum:
 
     def chi_apply(self, chi, gelem):
         return self.field.root(self.chi_apply_exp(chi, gelem))
+
+    def twist(self, c, chi, gelem):
+        """c * chi(gelem), with no multiplication when chi(gelem) = 1."""
+        k = self.chi_apply_exp(chi, gelem)
+        return c * self.field.root(k) if k else c
 
     def chi_eq(self, a, b) -> bool:
         """Character equality as functions on the group (value per generator)."""
@@ -262,20 +287,14 @@ class Datum:
 
     # -- smash-product multiplication -----------------------------------
 
-    def mul_mono(self, a_mono, b_mono):
-        """(U g)(V h) = chi_V(g) (UV)(gh); returns (monomial, scalar)."""
-        (U, g), (V, h) = a_mono, b_mono
-        tw = 0
-        for l in V:
-            tw += self.chi_apply_exp(self.chi_word(l), g)
-        return (U + V, self.group.mul(g, h)), self.field.root(tw)
-
     def mul(self, a: NCPoly, b: NCPoly) -> NCPoly:
+        """(U g)(V h) = chi_V(g) (UV)(gh), term pair by term pair."""
+        gmul = self.group.mul
+        right = [(V, h, cb, self.word_chi(V)) for (V, h), cb in b.terms.items()]
         out = NCPoly()
-        for ma, ca in a.terms.items():
-            for mb, cb in b.terms.items():
-                mono, tw = self.mul_mono(ma, mb)
-                out.add_term(mono, ca * cb * tw)
+        for (U, g), ca in a.terms.items():
+            for V, h, cb, chi in right:
+                out.add_term((U + V, gmul(g, h)), self.twist(ca * cb, chi, g))
         return out
 
     def mul_many(self, *polys):
@@ -301,7 +320,7 @@ class Datum:
         trivial degree), or None when inhomogeneous."""
         deg = None
         for U, _g in a.terms:
-            d = self.chi_word([i for u in U for i in u])
+            d = self.word_chi(U)
             if deg is None:
                 deg = d
             elif not self.chi_eq(deg, d):

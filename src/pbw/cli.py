@@ -1,13 +1,17 @@
 """Command-line front end.
 
-Exit codes for `check`: 0 pass, 1 fail, 2 invalid datum.  All output is
-deterministic; polynomial terms print in decreasing rewriting order.
+Exit codes for `check`: 0 pass, 1 fail, 2 invalid datum; the console script
+exits 141 when its stdout is closed before the output is written.  All
+output is deterministic; polynomial terms print in decreasing rewriting
+order.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -29,6 +33,10 @@ from .words import format_word, lyndon_up_to, parse_word, shirshov_decompose
 # height: quantum_plane takes 0.04 s at degree 1000 and 0.4 s at 3000 (one
 # core of a 2-core x86 host, Python 3.11).
 MAX_HILBERT_DEGREE = 1000
+
+# exit code of the console script when its stdout is closed early; a shell
+# reports 128 + SIGPIPE for a process the signal ends
+BROKEN_PIPE_EXIT = 141
 
 
 def _load(path):
@@ -183,7 +191,10 @@ def _cmd_redundant(args):
     return 0
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on the first call and reused: each
+    parse_args call returns a fresh namespace, so no value carries over."""
     ap = argparse.ArgumentParser(prog="pbw", description="PBW-basis toolkit for character Hopf algebra presentations")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -226,9 +237,34 @@ def main(argv=None):
     p.add_argument("file")
     p.set_defaults(func=_cmd_redundant)
 
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 
+def entry():
+    """The `pbw` console script.  A stdout closed before the output is
+    written (a reader such as `head` that stops early) ends it with exit
+    code BROKEN_PIPE_EXIT and no traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # later writes, including the flush at interpreter exit, go to
+        # /dev/null instead of raising again
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # no file descriptor behind stdout
+            return BROKEN_PIPE_EXIT
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return BROKEN_PIPE_EXIT
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

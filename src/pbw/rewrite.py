@@ -45,11 +45,10 @@ class RuleSystem:
         rhs = self.rules[U[i:cut]]
         d = self.datum
         left, right = U[:i], U[cut:]
-        chi_right = d.chi_word([l for w in right for l in w])
+        chi_right = d.word_chi(right)
         out = NCPoly()
         for (V, h), c in rhs.terms.items():
-            tw = d.chi_apply(chi_right, h)
-            out.add_term((left + V + right, d.group.mul(h, g)), c * tw)
+            out.add_term((left + V + right, d.group.mul(h, g)), d.twist(c, chi_right, h))
         return out
 
 

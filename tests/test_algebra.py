@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import pytest
 
 from pbw.algebra import Datum, GroupSpec, NCPoly, format_monomial, format_poly
-from pbw.scalars import CycloField, q_binomial
+from pbw.scalars import CycloField, PrimeField, q_binomial
 from pbw.words import lyndon_up_to
 
 
@@ -74,6 +74,78 @@ def test_mul_moves_group_elements_right():
     # free multiplication: no reordering of letters
     b = d.mul(d.letter((2,)), d.letter((1,)))
     assert b == d.monomial(((2,), (1,)))
+
+
+def reference_mul(d, a, b):
+    """Datum.mul by the per-letter formula (U g)(V h) = prod_{l in V}
+    chi_l(g) (UV)(gh), every twist looked up afresh."""
+    out = NCPoly()
+    for (U, g), ca in a.terms.items():
+        for (V, h), cb in b.terms.items():
+            tw = sum(d.chi_apply_exp(d.chi_word(l), g) for l in V)
+            gh = d.group.element(x + y for x, y in zip(g, h))
+            out.add_term((U + V, gh), ca * cb * d.field.root(tw))
+    return out
+
+
+def small_datum(field, group, g, chi):
+    return Datum(
+        theta=2, field=field, group=group, g=g, chi=chi,
+        L=((1,), (1, 2), (2,)),
+        heights={(1,): None, (1, 2): None, (2,): None},
+        reds={}, redhats={},
+    )
+
+
+def random_datum_poly(d, rng, max_terms=4, max_letters=3):
+    """Random polynomial over the members of L, with group parts over every
+    factor (free exponents of either sign)."""
+    p = NCPoly()
+    for _ in range(rng.randint(1, max_terms)):
+        word = tuple(rng.choice(d.L) for _ in range(rng.randint(0, max_letters)))
+        exps = [rng.randrange(m) for m in d.group.torsion] + [rng.randint(-3, 3) for _ in range(d.group.free_rank)]
+        c = d.field.root(rng.randrange(12)) if rng.random() < 0.6 else d.field.from_rational(rng.randint(-3, 3))
+        p.add_term((word, d.group.element(exps)), c)
+    return p
+
+
+def _mul_data():
+    from pbw.presets import build_preset
+
+    f7, f2, c4 = PrimeField(7), PrimeField(2), CycloField(4)
+    return {
+        "b2_scaffold": build_preset("b2_scaffold").datum,
+        "F_7": small_datum(f7, GroupSpec((6,)), ((1,), (2,)), ((1,), (4,))),
+        # unit_order 1: every twist is trivial, whatever the exponents
+        "F_2": small_datum(f2, GroupSpec((2,)), ((1,), (1,)), ((1,), (3,))),
+        "free_rank": small_datum(c4, GroupSpec((4,), 1), ((1, 0), (3, 1)), ((1, 1), (2, 3))),
+    }
+
+
+@pytest.mark.parametrize("name", ["b2_scaffold", "F_7", "F_2", "free_rank"])
+def test_mul_matches_the_per_letter_formula(name):
+    d = _mul_data()[name]
+    rng = random.Random(name)
+    for _ in range(60):
+        a, b = random_datum_poly(d, rng), random_datum_poly(d, rng)
+        # equal terms in the same order, so printed products do not change
+        assert list(d.mul(a, b).terms.items()) == list(reference_mul(d, a, b).terms.items())
+
+
+def test_replace_builds_a_fresh_twist_table():
+    from pbw.presets import build_preset
+
+    d = build_preset("lifting_a2_1b").datum
+    rng = random.Random(5)
+    pairs = [(random_datum_poly(d, rng), random_datum_poly(d, rng)) for _ in range(20)]
+    before = [d.mul(a, b) for a, b in pairs]
+    copy = replace(d, chi=((1,), (3,)))
+    assert copy._letter_chi is not d._letter_chi
+    assert copy._letter_chi[(1, 2)] == (4,) and d._letter_chi[(1, 2)] == (6,)
+    for a, b in pairs:
+        assert copy.mul(a, b) == reference_mul(copy, a, b)
+    assert [d.mul(a, b) for a, b in pairs] == before
+    assert before == [reference_mul(d, a, b) for a, b in pairs]
 
 
 def test_mul_is_associative_on_random_triples():

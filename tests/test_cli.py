@@ -1,6 +1,11 @@
 """The command-line front end: subcommands, exit codes, JSON mirrors."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -11,6 +16,8 @@ from pbw.cli import main
 from pbw.datumio import MAX_CONDUCTOR, MAX_GROUP_ORDER, MAX_HEIGHT, MAX_PRIME, datum_to_dict, save_datum
 from pbw.exprs import ExprError, parse_expr
 from pbw.presets import PRESET_NAMES, build_preset
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture
@@ -34,6 +41,15 @@ def run(capsys, *argv):
         code = e.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_alone(*argv, **kwargs):
+    """`python -m pbw.cli argv` in a fresh interpreter."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "pbw.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=path), text=True, timeout=60, **kwargs,
+    )
 
 
 def test_check_pass(capsys, taft_file):
@@ -254,3 +270,55 @@ def test_expression_grammar():
         parse_expr("x1 *\n* x2", d)
     except ExprError as e:
         assert e.line == 2
+
+
+def test_cached_parser_keeps_calls_independent(capsys, tmp_path, taft_file):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"theta": 1}')
+    calls = [
+        ("preset", "taft", "--param", "N=5"),
+        ("preset", "taft"),
+        ("check", str(broken)),
+        ("check", taft_file),
+    ]
+    in_one_process = [run(capsys, *argv)[:2] for argv in calls]
+    alone = [run_alone(*argv, capture_output=True) for argv in calls]
+    assert in_one_process == [(p.returncode, p.stdout) for p in alone]
+    assert [code for code, _ in in_one_process] == [0, 0, 2, 0]
+    assert in_one_process[0] != in_one_process[1]
+    assert cli._parser() is cli._parser()
+
+
+def test_closed_stdout_exits_without_traceback(taft_file):
+    r, w = os.pipe()
+    os.close(r)  # the reader is gone before the first write
+    try:
+        proc = run_alone("check", taft_file, "--json", stdout=w, stderr=subprocess.PIPE)
+    finally:
+        os.close(w)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == cli.BROKEN_PIPE_EXIT
+
+
+class _ClosedAfterOneLine(io.StringIO):
+    """A stdout whose reader stops after the first line; like the StringIO
+    of contextlib.redirect_stdout it has no file descriptor."""
+
+    def write(self, s):
+        if "\n" in self.getvalue():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(s)
+
+
+def test_entry_handles_a_closed_stdout_without_a_descriptor(capsys, monkeypatch, taft_file):
+    monkeypatch.setattr(sys, "argv", ["pbw", "check", taft_file])
+    expected = run(capsys, "check", taft_file)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.entry() == 0
+    assert out.getvalue() == expected[1]
+    closed = _ClosedAfterOneLine()
+    with contextlib.redirect_stdout(closed):
+        assert cli.entry() == cli.BROKEN_PIPE_EXIT
+    assert closed.getvalue() == expected[1].splitlines(keepends=True)[0]
+    assert capsys.readouterr() == ("", "")

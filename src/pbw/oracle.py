@@ -4,7 +4,11 @@ Gaussian elimination on the degree-truncated span of the defining ideal.
 
 The quotient estimate works over the original letters only (super letters
 are expanded through their commutator polynomials), so it shares nothing
-with the rewriting engine.
+with the rewriting engine.  It eliminates one coset block of the group,
+that of the subgroup generated by the relations' group parts, and scales
+that block's rank by the index; for Nichols-type data, whose relations have
+no group part, this divides the work by |G|.  It refuses data past a budget
+of MAX_ORACLE_COLUMNS columns before building anything.
 """
 
 from __future__ import annotations
@@ -74,6 +78,13 @@ def span_contains(elements, target: NCPoly) -> bool:
 # quotient dimension estimate
 # ---------------------------------------------------------------------------
 
+# Column budget of quotient_rank (words up to the truncation length times
+# |G|).  At margin 0 every preset has at most 5,100 columns (nichols_a1xa1
+# N1=4, N2=5) except b2_scaffold, with 2.7e9, and lifting_a2_1c, with
+# 524,224; lifting_a2_1b, with 4,599, already takes about a second.
+MAX_ORACLE_COLUMNS = 100_000
+
+
 def ideal_generators_expanded(datum):
     """The defining elements over the original letters: commutator relations
     [w] - red_w for w in C(L) and power relations [u]^N - redhat_u."""
@@ -100,15 +111,39 @@ def _all_words(theta, max_len):
     return out
 
 
+def _subgroup(group, gens):
+    """The subgroup of a finite group generated by gens."""
+    sub = {group.identity()}
+    todo = list(sub)
+    while todo:
+        x = todo.pop()
+        for s in gens:
+            y = group.mul(x, s)
+            if y not in sub:
+                sub.add(y)
+                todo.append(y)
+    return sub
+
+
 def quotient_rank(datum, margin=0) -> int:
     """Dimension of the span of words*group modulo the degree-truncated ideal
     span; for a confluent presentation this equals the true dimension once
     the truncation length reaches the longest basis monomial.
 
     Requires a finite group.  The truncation length is the total nilpotency
-    length plus the margin.
+    length plus the margin.  Raises ValueError when there would be more than
+    MAX_ORACLE_COLUMNS columns (words up to that length times |G|).
+
+    Only one coset block is eliminated.  Let H be the subgroup generated by
+    the group parts of the ideal generators.  The row lg*a*r*b*h has its
+    group parts in the coset lg*h*H, and shifting every column's group part
+    by one element maps the row set onto itself, so all [G:H] blocks have
+    the same rank and the rank is [G:H] times that of the block H.  When no
+    relation has a group part, as for bosonized Nichols algebras, H is
+    trivial and this saves a factor of |G|.
     """
-    if not datum.group.is_finite():
+    group = datum.group
+    if not group.is_finite():
         raise ValueError("quotient rank needs a finite group")
     max_len = margin
     for u in datum.L:
@@ -117,31 +152,43 @@ def quotient_rank(datum, margin=0) -> int:
             raise ValueError("quotient rank needs finite heights")
         max_len += (n - 1) * len(u)
 
-    gens = ideal_generators_expanded(datum)
-    words = _all_words(datum.theta, max_len)
-    els = datum.group.elements()
-    ncols = len(words) * len(els)
+    order = group.order()
+    # ends[k]: the number of words of length <= k, the first ends[k] of words
+    ends = [1]
+    for _ in range(max_len):
+        if ends[-1] * order > MAX_ORACLE_COLUMNS:
+            break
+        ends.append(ends[-1] * datum.theta + 1)
+    ncols = ends[-1] * order
+    if ncols > MAX_ORACLE_COLUMNS:
+        raise ValueError(
+            f"quotient rank needs more than {MAX_ORACLE_COLUMNS} columns "
+            f"(words of length <= {max_len} over {datum.theta} letters, "
+            f"times {order} group elements)"
+        )
 
-    homogeneous = all(datum.char_degree(r) is not None for r in gens if not r.is_zero())
+    gens = [r for r in ideal_generators_expanded(datum) if not r.is_zero()]
+    words = _all_words(datum.theta, max_len)
+    sub = _subgroup(group, {g for r in gens for _, g in r.terms})
+
+    homogeneous = all(datum.char_degree(r) is not None for r in gens)
+    ident = group.identity()
+    left_gs = [ident] if homogeneous else group.elements()
     ech = Echelon()
-    ident = datum.group.identity()
     for r in gens:
-        if r.is_zero():
-            continue
         deg = max(xlen(U) for U, _ in r.terms)
-        left_gs = [ident] if homogeneous else els
-        for a in words:
-            la = xlen(a)
-            if la + deg > max_len:
-                continue
+        if deg > max_len:
+            continue
+        for a in words[:ends[max_len - deg]]:
             pa = datum.monomial(a)
             for lg in left_gs:
                 base = datum.mul(datum.group_like(lg), datum.mul(pa, r)) if lg != ident else datum.mul(pa, r)
-                for b in words:
-                    if la + deg + xlen(b) > max_len:
-                        continue
+                # the h with lg*h in H; elements() lists G in sorted order
+                inv = group.power(lg, -1)
+                hs = sorted(group.mul(inv, k) for k in sub)
+                for b in words[:ends[max_len - deg - len(a)]]:
                     row = datum.mul(base, datum.monomial(b))
                     keyed = [(*greatest_first(U), g, c) for (U, g), c in row.terms.items()]
-                    for h in els:
-                        ech.insert({(k, U, datum.group.mul(g, h)): c for k, U, g, c in keyed})
-    return ncols - ech.rank
+                    for h in hs:
+                        ech.insert({(k, U, group.mul(g, h)): c for k, U, g, c in keyed})
+    return ncols - order // len(sub) * ech.rank

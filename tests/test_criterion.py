@@ -1,6 +1,8 @@
 """The bracket-reduction table, the Jacobi and Leibniz test elements, the
 check itself on passing and broken data, and the redundancy toolkit."""
 
+import itertools
+import time
 from dataclasses import replace
 
 import pytest
@@ -18,7 +20,7 @@ from pbw.criterion import (
     leibniz_self_element,
     in_bounded_ideal,
 )
-from pbw.oracle import quotient_rank
+from pbw.oracle import MAX_ORACLE_COLUMNS, Echelon, ideal_generators_expanded, poly_row, quotient_rank
 from pbw.presets import PRESET_NAMES, build_preset
 from pbw.rewrite import build_rules, dimension, normal_form, reduce_bounded
 from pbw.scalars import CycloField
@@ -366,6 +368,15 @@ def test_bounded_span_places_rule_elements_as_multiplication_does(monkeypatch):
         assert out == span_elements_by_multiplication(rs, bound), bound
 
 
+def radford_redhat_g():
+    """Radford N=2 with redhat_1 = g: a power relation x1^2 - g of mixed
+    length, and of one character, since x1^2 has the trivial one."""
+    d = build_preset("radford", N=2).datum
+    bad = NCPoly()
+    bad.add_term(((), (1,)), d.field.one())
+    return replace(d, redhats={(1,): bad})
+
+
 def test_verdict_matches_oracle_equivalence_both_directions():
     # at desk scale the verdict must coincide with "irreducible count equals
     # the independent rank", on passing and on broken data alike
@@ -375,17 +386,67 @@ def test_verdict_matches_oracle_equivalence_both_directions():
         (build_preset("uq_sl2").datum, 2),
         (build_preset("lifting_a1xa1", N=2).datum, 2),
         (tampered_uq_sl2(), 2),
+        (radford_redhat_g(), 3),
     ]
-    d = build_preset("radford", N=2).datum
-    bad = NCPoly()
-    bad.add_term(((), (1,)), d.field.one())
-    instances.append((replace(d, redhats={(1,): bad}), 3))
     for datum, margin in instances:
         rep = check_pbw(datum)
         count = dimension(datum)
         assert count <= 200
         rank = quotient_rank(datum, margin=margin)
         assert rep.passed == (rank == count), (rep.passed, rank, count)
+
+
+def reference_quotient_rank(datum, margin=0):
+    """quotient_rank eliminating every row over the whole group: each
+    lg*a*r*b (lg = 1 when every relation is homogeneous) shifted by every h."""
+    els = datum.group.elements()
+    max_len = margin + sum((datum.heights[u] - 1) * len(u) for u in datum.L)
+    letters = [(i,) for i in range(1, datum.theta + 1)]
+    words = [w for n in range(max_len + 1) for w in itertools.product(letters, repeat=n)]
+    gens = [r for r in ideal_generators_expanded(datum) if not r.is_zero()]
+    homogeneous = all(datum.char_degree(r) is not None for r in gens)
+    ech = Echelon()
+    for r in gens:
+        deg = max(xlen(U) for U, _ in r.terms)
+        for a, b in itertools.product(words, repeat=2):
+            if len(a) + deg + len(b) > max_len:
+                continue
+            for lg in [datum.group.identity()] if homogeneous else els:
+                row = datum.mul_many(datum.group_like(lg), datum.monomial(a), r, datum.monomial(b))
+                for h in els:
+                    ech.insert(poly_row(datum.mul(row, datum.group_like(h))))
+    return len(words) * len(els) - ech.rank
+
+
+@pytest.mark.parametrize("margin", [0, 2])
+def test_quotient_rank_matches_full_group_elimination(margin):
+    # the subgroup H of the relations' group parts is trivial for taft, all
+    # of G for uq_sl2 and radford with redhat_1 = g, and proper and
+    # nontrivial for lifting_a2_1a and for x1^3 - x1 - g^3, whose two
+    # characters differ, so that rows take every left group element
+    d = build_preset("radford", N=3).datum
+    mixed = NCPoly()
+    mixed.add_term((((1,),), d.group.identity()), d.field.one())
+    mixed.add_term(((), (3,)), d.field.one())
+    cases = [
+        ("taft", build_preset("taft", N=3).datum),
+        ("uq_sl2", build_preset("uq_sl2", N=3).datum),
+        ("lifting_a2_1a", build_preset("lifting_a2_1a").datum),
+        ("radford with redhat_1 = g", radford_redhat_g()),
+        ("radford N=3 with redhat_1 = x1 + g^3", replace(d, redhats={(1,): mixed})),
+        ("tampered uq_sl2", tampered_uq_sl2()),
+    ]
+    for desc, d in cases:
+        assert quotient_rank(d, margin=margin) == reference_quotient_rank(d, margin), desc
+
+
+@pytest.mark.parametrize("name", ["b2_scaffold", "lifting_a2_1c"])
+def test_quotient_rank_refuses_past_the_column_budget(name):
+    d = build_preset(name).datum
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"more than {MAX_ORACLE_COLUMNS} columns"):
+        quotient_rank(d)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_forced_serre_from_power_examples():

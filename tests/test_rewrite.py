@@ -187,8 +187,9 @@ def test_oracle_matches_pbw_count_on_finite_presets():
     cases = [
         ("taft", {"N": 2}), ("taft", {"N": 3}), ("taft", {"N": 4}),
         ("radford", {"N": 2}), ("radford", {"N": 3}),
-        ("book", {}), ("uq_sl2", {"N": 3}),
-        ("nichols_a1xa1", {}), ("lifting_a1xa1", {"N": 2}),
+        ("book", {}), ("book", {"N": 5}), ("uq_sl2", {"N": 3}),
+        ("nichols_a1xa1", {}), ("nichols_a1xa1", {"N1": 3, "N2": 4}),
+        ("lifting_a1xa1", {"N": 2}),
     ]
     for name, kw in cases:
         p = build_preset(name, **kw)

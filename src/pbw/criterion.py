@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .algebra import NCPoly
 from .rewrite import RuleSystem, build_rules, normal_form, reduce_bounded
 from .oracle import span_contains
-from .words import format_word, prec_cmp, shirshov_decompose, xlen
+from .words import format_word, shirshov_decompose, xlen
 
 
 # ---------------------------------------------------------------------------
@@ -105,47 +105,75 @@ def leibniz_gt_element(datum, table, v, u) -> NCPoly:
 # bounded membership
 # ---------------------------------------------------------------------------
 
-def bounded_span_elements(rs: RuleSystem, bound):
+def bounded_span_elements(rs: RuleSystem, bound, degree=None):
     """All rule elements a*(lhs - rhs)*b*h whose full word a*lhs*b precedes
     the bound, for every element h of the group, which must be finite.
     Group letters on the left are absorbed by character homogeneity, so
-    contexts are words times a right group factor."""
+    contexts are words times a right group factor.  With a degree, only the
+    placements whose word a*lhs*b has that character degree are built."""
     datum = rs.datum
     els = datum.group.elements()
     identity = datum.group.identity()
+    cosets = {}
+
+    def coset(g):
+        """The products g*h for h in els, in that order."""
+        gh = cosets.get(g)
+        if gh is None:
+            gh = cosets[g] = [datum.group.mul(g, h) for h in els]
+        return gh
+
     letters = sorted(datum.L)
+    bound = tuple(tuple(u) for u in bound)
     lb = xlen(bound)
 
-    all_words, frontier = [()], [()]
+    # fits[k]: the context words of at most k original letters, with their
+    # lengths, in the order of their construction
+    all_words, frontier = [((), 0)], [((), 0)]
     while frontier:
-        nxt = [w + (l,) for w in frontier for l in letters if xlen(w) + len(l) <= lb]
-        all_words.extend(nxt)
-        frontier = nxt
+        frontier = [(w + (l,), n + len(l)) for w, n in frontier for l in letters if n + len(l) <= lb]
+        all_words.extend(frontier)
+    fits = [[t for t in all_words if t[1] <= k] for k in range(lb + 1)]
 
     out = []
     for lhs in rs.rules:
         ll = xlen(lhs)
-        for a in all_words:
-            la = xlen(a)
-            if la + ll > lb:
-                continue
-            for b in all_words:
-                if la + ll + xlen(b) > lb:
-                    continue
+        if ll > lb:
+            continue
+        for a, la in fits[lb - ll]:
+            for b, lb_ in fits[lb - ll - la]:
                 U = a + lhs + b
-                if prec_cmp(U, bound) >= 0:
+                # U precedes the bound: fewer letters, or as many and
+                # lexicographically bigger
+                if la + ll + lb_ == lb and not U > bound:
+                    continue
+                if degree is not None and not datum.chi_eq(datum.word_chi(U), degree):
                     continue
                 placed = datum.monomial(U) - rs.rewrite_at(U, identity, (len(a), len(a) + len(lhs)))
-                for h in els:
-                    out.append(NCPoly({
-                        (V, datum.group.mul(g, h)): c for (V, g), c in placed.terms.items()
-                    }))
+                terms = [(V, coset(g), c) for (V, g), c in placed.terms.items()]
+                for j in range(len(els)):
+                    out.append(NCPoly({(V, gh[j]): c for V, gh, c in terms}))
     return out
+
+
+def span_degree(rs: RuleSystem, a: NCPoly):
+    """The character degree of a when a is character-homogeneous and every
+    rule element lhs - rhs has the degree of lhs; otherwise None.  Only then
+    do the span placements of other degrees share no monomial with a."""
+    d = rs.datum
+    degree = d.char_degree(a)
+    homogeneous = degree is not None and all(
+        d.chi_eq(d.word_chi(U), d.word_chi(lhs))
+        for lhs, rhs in rs.rules.items()
+        for U, _g in rhs.terms
+    )
+    return degree if homogeneous else None
 
 
 def in_bounded_ideal(rs: RuleSystem, a: NCPoly, bound):
     """Membership test for the bounded span: deterministic bounded reduction
-    first; on a nonzero residue, the exact span test (finite groups only).
+    first; on a nonzero residue, the exact span test (finite groups only),
+    over the placements of the span degree of a.
 
     Returns (member, residue, used_fallback)."""
     residue = reduce_bounded(rs, a, bound)
@@ -153,7 +181,8 @@ def in_bounded_ideal(rs: RuleSystem, a: NCPoly, bound):
         return True, residue, False
     if not rs.datum.group.is_finite():
         return False, residue, False
-    elements = bounded_span_elements(rs, bound)
+    degree = span_degree(rs, a)
+    elements = bounded_span_elements(rs, bound, degree)
     return span_contains(elements, a), residue, True
 
 

@@ -8,7 +8,8 @@ with the rewriting engine.  It eliminates one coset block of the group,
 that of the subgroup generated by the relations' group parts, and scales
 that block's rank by the index; for Nichols-type data, whose relations have
 no group part, this divides the work by |G|.  It refuses data past a budget
-of MAX_ORACLE_COLUMNS columns before building anything.
+of MAX_ORACLE_COLUMNS columns or MAX_ORACLE_ROWS rows before building any
+row.
 """
 
 from __future__ import annotations
@@ -66,10 +67,31 @@ def poly_row(a: NCPoly):
 
 
 def span_contains(elements, target: NCPoly) -> bool:
-    """Exact membership of target in the linear span of the given polynomials."""
+    """Exact membership of target in the linear span of the given polynomials.
+
+    Only the elements linked to the target are eliminated.  A union-find over
+    monomials joins the monomials of each element; an element whose component
+    holds no monomial of the target shares no monomial with any element that
+    does, so it enters a combination equal to the target with coefficient 0."""
+    parent = {}
+
+    def find(m):
+        while parent[m] != m:
+            parent[m] = m = parent[parent[m]]
+        return m
+
+    for e in elements:
+        root = None
+        for m in e.terms:
+            r = find(m) if m in parent else parent.setdefault(m, m)
+            if root is None:
+                root = r
+            elif r != root:
+                parent[r] = root
+    linked = {find(m) for m in target.terms if m in parent}
     ech = Echelon()
     for e in elements:
-        if not e.is_zero():
+        if e.terms and find(next(iter(e.terms))) in linked:
             ech.insert(poly_row(e))
     return ech.contains(poly_row(target))
 
@@ -83,6 +105,12 @@ def span_contains(elements, target: NCPoly) -> bool:
 # N1=4, N2=5) except b2_scaffold, with 2.7e9, and lifting_a2_1c, with
 # 524,224; lifting_a2_1b, with 4,599, already takes about a second.
 MAX_ORACLE_COLUMNS = 100_000
+
+# Row budget of quotient_rank, counted before any row is built.  Every call
+# in the test suites has at most 4,335 rows and lifting_a2_4b has 8,724;
+# tampered uq_sl2 N=5 (red_12 = 1 - g) at margin 2 has 23,695 within the
+# column budget, and took about 20 s.
+MAX_ORACLE_ROWS = 10_000
 
 
 def ideal_generators_expanded(datum):
@@ -132,7 +160,8 @@ def quotient_rank(datum, margin=0) -> int:
 
     Requires a finite group.  The truncation length is the total nilpotency
     length plus the margin.  Raises ValueError when there would be more than
-    MAX_ORACLE_COLUMNS columns (words up to that length times |G|).
+    MAX_ORACLE_COLUMNS columns (words up to that length times |G|) or more
+    than MAX_ORACLE_ROWS rows.
 
     Only one coset block is eliminated.  Let H be the subgroup generated by
     the group parts of the ideal generators.  The row lg*a*r*b*h has its
@@ -174,9 +203,20 @@ def quotient_rank(datum, margin=0) -> int:
     homogeneous = all(datum.char_degree(r) is not None for r in gens)
     ident = group.identity()
     left_gs = [ident] if homogeneous else group.elements()
+    degs = [max(xlen(U) for U, _ in r.terms) for r in gens]
+    # words of length k: theta^k, each with ends[max_len - deg - k] right words
+    nrows = len(left_gs) * len(sub) * sum(
+        datum.theta ** k * ends[max_len - deg - k]
+        for deg in degs if deg <= max_len
+        for k in range(max_len - deg + 1)
+    )
+    if nrows > MAX_ORACLE_ROWS:
+        raise ValueError(
+            f"quotient rank needs more than {MAX_ORACLE_ROWS} rows "
+            f"({nrows} at truncation length {max_len})"
+        )
     ech = Echelon()
-    for r in gens:
-        deg = max(xlen(U) for U, _ in r.terms)
+    for r, deg in zip(gens, degs):
         if deg > max_len:
             continue
         for a in words[:ends[max_len - deg]]:

@@ -6,6 +6,8 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbw import criterion
 from pbw.algebra import Datum, GroupSpec, NCPoly
@@ -19,11 +21,20 @@ from pbw.criterion import (
     leibniz_le_element,
     leibniz_self_element,
     in_bounded_ideal,
+    span_degree,
 )
-from pbw.oracle import MAX_ORACLE_COLUMNS, Echelon, ideal_generators_expanded, poly_row, quotient_rank
+from pbw.oracle import (
+    MAX_ORACLE_COLUMNS,
+    MAX_ORACLE_ROWS,
+    Echelon,
+    ideal_generators_expanded,
+    poly_row,
+    quotient_rank,
+    span_contains,
+)
 from pbw.presets import PRESET_NAMES, build_preset
 from pbw.rewrite import build_rules, dimension, normal_form, reduce_bounded
-from pbw.scalars import CycloField
+from pbw.scalars import CycloField, PrimeField
 from pbw.words import prec_cmp, xlen
 
 
@@ -300,8 +311,8 @@ def test_reduced_mode_drops_the_documented_conditions():
     assert "jacobi(112<12<2)" in reduced
 
 
-def tampered_uq_sl2():
-    d = build_preset("uq_sl2").datum
+def tampered_uq_sl2(N=3):
+    d = build_preset("uq_sl2", N=N).datum
     bad = NCPoly()
     bad.add_term(((), (0,)), d.field.one())
     bad.add_term(((), (1,)), -d.field.one())  # 1 - g instead of 1 - g^2
@@ -329,10 +340,11 @@ def tampered_lifting_a1xa1():
     return replace(d, reds={(1, 2): bad})
 
 
-def span_elements_by_multiplication(rs, bound):
+def span_elements_by_multiplication(rs, bound, degree=None):
     """Reference for bounded_span_elements, built by smash-product
     multiplication: a*(lhs - rhs)*b*h for every rule, every pair of word
-    contexts with a*lhs*b below the bound, and every group element h."""
+    contexts with a*lhs*b below the bound, and every group element h; with
+    a degree, only the products of that character degree."""
     d = rs.datum
     words, frontier = [()], [()]
     while frontier:
@@ -346,6 +358,11 @@ def span_elements_by_multiplication(rs, bound):
                 U = a + lhs + b
                 if xlen(U) <= xlen(bound) and prec_cmp(U, bound) < 0:
                     placed = d.mul(d.mul(d.monomial(a), elem), d.monomial(b))
+                    if degree is not None:
+                        placed_degree = d.char_degree(placed)
+                        assert placed_degree is not None, (lhs, a, b)
+                        if not d.chi_eq(placed_degree, degree):
+                            continue
                     out.extend(d.mul(placed, d.group_like(h)) for h in d.group.elements())
     return out
 
@@ -354,9 +371,9 @@ def test_bounded_span_places_rule_elements_as_multiplication_does(monkeypatch):
     calls = []
     original = criterion.bounded_span_elements
 
-    def recording(rs, bound):
-        out = original(rs, bound)
-        calls.append((rs, bound, out))
+    def recording(rs, bound, degree=None):
+        out = original(rs, bound, degree)
+        calls.append((rs, bound, degree, out))
         return out
 
     monkeypatch.setattr(criterion, "bounded_span_elements", recording)
@@ -364,8 +381,116 @@ def test_bounded_span_places_rule_elements_as_multiplication_does(monkeypatch):
         before = len(calls)
         assert not check_pbw(d).passed
         assert len(calls) > before  # the span fallback decided some condition
-    for rs, bound, out in calls:
-        assert out == span_elements_by_multiplication(rs, bound), bound
+        # the unfiltered span, once per datum
+        rs, bound = calls[before][:2]
+        assert original(rs, bound) == span_elements_by_multiplication(rs, bound), bound
+    for rs, bound, degree, out in calls:
+        assert degree is not None  # valid data: the span is filtered by degree
+        assert out == span_elements_by_multiplication(rs, bound, degree), bound
+
+
+def unpruned_membership(rs, element, bound):
+    """Membership of element in the span of every rule element placed below
+    the bound, by plain elimination with no pruning."""
+    ech = Echelon()
+    for e in criterion.bounded_span_elements(rs, bound):
+        ech.insert(poly_row(e))
+    return ech.contains(poly_row(element))
+
+
+def test_pruned_span_agrees_with_unpruned_elimination():
+    # every condition of every preset with a finite group, in both modes, and
+    # of the acceptance tamperings, whether or not bounded reduction already
+    # settles it; the unpruned span grows exponentially in the bound, so only
+    # bounds of at most 4 letters are compared (81 conditions, every
+    # tampered one among them)
+    from test_acceptance import tampered_instances
+
+    data = [(name, build_preset(name).datum) for name in PRESET_NAMES]
+    data += [(desc, d) for desc, d, _margin in tampered_instances()]
+    outcomes = set()
+    for desc, d in data:
+        if not d.group.is_finite():
+            continue
+        table = bracket_table(d)
+        rs = build_rules(d, table)
+        conditions = {}
+        for mode in ("full", "reduced"):
+            for kind, words, element, bound in criterion._conditions(d, table, mode):
+                conditions[(kind, words)] = element, bound
+        for key, (element, bound) in conditions.items():
+            if xlen(bound) > 4:
+                continue
+            degree = span_degree(rs, element)
+            pruned = span_contains(criterion.bounded_span_elements(rs, bound, degree), element)
+            assert pruned == unpruned_membership(rs, element, bound), (desc, key)
+            outcomes.add((pruned, degree is not None))
+    assert outcomes == {(True, True), (True, False), (False, True)}
+
+
+def test_span_degree_guard_falls_back_on_an_unvalidated_datum():
+    # red_12 = x1 has the character of x1, not of x1 x2: the datum is invalid,
+    # check_pbw runs on it anyway, and the rule element of 12 is inhomogeneous
+    d = build_preset("uq_sl2").datum
+    d = replace(d, reds={(1, 2): d.letter((1,))})
+    assert "red_12 is not character-homogeneous of the required degree" in d.validate()
+    table = bracket_table(d)
+    rs = build_rules(d, table)
+    rep = check_pbw(d)
+    fell_back = 0
+    for (_kind, _words, element, bound), c in zip(criterion._conditions(d, table, "full"), rep.conditions):
+        assert span_degree(rs, element) is None
+        if c.used_fallback and d.char_degree(element) is not None:
+            fell_back += 1
+        member = reduce_bounded(rs, element, bound).is_zero() or unpruned_membership(rs, element, bound)
+        assert c.passed == member, c.condition_id
+    assert fell_back  # a homogeneous element whose span is still built unfiltered
+    assert not rep.passed
+
+
+def _sparse_poly(field, terms):
+    """A polynomial over monomials x_i (i = 0, 1, ...) with integer coefficients."""
+    p = NCPoly()
+    for i, c in terms.items():
+        p.add_term((((i + 1,),), ()), field.from_rational(c))
+    return p
+
+
+_COEFFS = st.integers(-2, 2).filter(bool)
+_SPARSE = st.dictionaries(st.integers(0, 7), _COEFFS, max_size=3)
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True, database=None)
+@given(
+    st.sampled_from([CycloField(1), PrimeField(3)]),
+    st.lists(_SPARSE, max_size=8),
+    st.lists(st.integers(-2, 2), max_size=8),
+    _SPARSE,
+)
+def test_linked_component_elimination_matches_plain_elimination(field, systems, combo, noise):
+    # the target is a combination of some elements plus optional noise, so
+    # that both answers occur; the pruned test must equal plain elimination
+    elements = [_sparse_poly(field, t) for t in systems]
+    target = _sparse_poly(field, noise)
+    for c, e in zip(combo, elements):
+        target = target + e.scale(field.from_rational(c))
+    ech = Echelon()
+    for e in elements:
+        if not e.is_zero():
+            ech.insert(poly_row(e))
+    assert span_contains(elements, target) == ech.contains(poly_row(target))
+
+
+def test_linked_component_elimination_follows_a_chain():
+    # x0 + x4 = (x0 + x1) - (x1 + x2) + (x2 + x4): the middle element shares
+    # no monomial with the target and is reached only through its neighbours
+    f = CycloField(1)
+    chain = [_sparse_poly(f, {0: 1, 1: 1}), _sparse_poly(f, {1: 1, 2: 1}), _sparse_poly(f, {2: 1, 4: 1})]
+    apart = _sparse_poly(f, {3: 1, 5: 1})
+    target = _sparse_poly(f, {0: 1, 4: 1})
+    assert span_contains([apart] + chain, target)
+    assert not span_contains([apart, chain[0], chain[2]], target)
+    assert span_contains([apart] + chain, target + apart)  # two linked components
 
 
 def radford_redhat_g():
@@ -438,6 +563,16 @@ def test_quotient_rank_matches_full_group_elimination(margin):
     ]
     for desc, d in cases:
         assert quotient_rank(d, margin=margin) == reference_quotient_rank(d, margin), desc
+
+
+def test_quotient_rank_refuses_past_the_row_budget():
+    # tampered uq_sl2 N=5 at margin 2: 10,235 columns, inside the column
+    # budget, but 23,695 rows, which took about 20 s to eliminate
+    d = tampered_uq_sl2(N=5)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"more than {MAX_ORACLE_ROWS} rows"):
+        quotient_rank(d, margin=2)
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("name", ["b2_scaffold", "lifting_a2_1c"])

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .algebra import format_poly
 from .criterion import (
+    FORCED_LEVELS,
     bracket_table,
     check_pbw,
     forced_power_from_jacobi,
@@ -166,7 +167,7 @@ def _cmd_redundant(args):
                 rhs = forced_serre_from_power(d, u, v, "right")
                 if rhs == d.reds[u + v + v]:
                     found.append(f"red_{format_word(u + v + v)} is forced by the height-2 power at {format_word(v)}")
-    for level in ("rank2-12", "b2-11212", "b2-112", "b2-12"):
+    for level in FORCED_LEVELS:
         try:
             forced = forced_power_from_jacobi(d, table, level)
         except ValueError:

@@ -5,7 +5,7 @@ relation toolkit for rank-two and B2-shaped presentations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import NCPoly
 from .rewrite import RuleSystem, build_rules, normal_form, reduce_bounded
@@ -314,95 +314,52 @@ def forced_serre_from_power(datum, u, v, side) -> NCPoly:
     raise ValueError("side must be 'left' or 'right'")
 
 
+# level -> (the q-Jacobi triple u < v < w, the word whose relation the
+# condition forces, its height: 1 for the commutator relation red_word, N for
+# the power relation redhat_word); the liftings of Helbig-Lift in rank two
+# and of B2 shape
+FORCED_LEVELS = {
+    "rank2-12": (((1,), (1, 2), (2,)), (1, 2), 2),
+    "b2-11212": (((1,), (1, 1, 2), (2,)), (1, 1, 2, 1, 2), 1),
+    "b2-112": (((1,), (1, 1, 2), (1, 2)), (1, 1, 2), 2),
+    "b2-12": (((1, 1, 2), (1, 2), (2,)), (1, 2), 3),
+}
+
+
 def forced_power_from_jacobi(datum, table, level):
-    """Closed-form redundant power relations.  Returns (coefficient, rhs,
-    replaced word, replaced height) or None when the leading coefficient
-    vanishes.
-
-    Levels: "rank2-12" needs L containing {1, 12, 2} with N_12 = 2;
-    "b2-11212", "b2-112" (N_112 = 2), "b2-12" (N_12 = 3) need
-    L = {1, 112, 12, 2}."""
-    x1, x2 = (1,), (2,)
-    x12, x112 = (1, 2), (1, 1, 2)
-    x11212 = (1, 1, 2, 1, 2)
-    q = datum.q_uv
-    f = datum.field
-
-    def check_shape(rhs, word, n):
-        if not datum.prec_L_check(rhs, (word,) * n, strict=True):
-            raise ValueError(
-                f"forced right-hand side for {format_word(word)}^{n} violates the lower-terms shape"
-            )
-
-    if level == "rank2-12":
-        _need_letters(datum, (x1, x12, x2), level)
-        if datum.heights.get(x12) != 2:
-            raise ValueError("rank2-12 needs height 2 for the word 12")
-        coeff = q(x1, x12) - q(x12, x2)
-        if coeff.is_zero():
-            return None
-        combo = datum.q_commutator(table[(x1, x12)], datum.letter(x2), q(x112, x2))
-        combo = combo - datum.q_commutator(datum.letter(x1), table[(x12, x2)], q(x1, (1, 2, 2)))
-        rhs = combo.scale(-coeff.inverse())
-        check_shape(rhs, x12, 2)
-        return coeff, rhs, x12, 2
-
-    _need_letters(datum, (x1, x112, x12, x2), level)
-    q11, q22, q12, q21 = q(x1, x1), q(x2, x2), q(x1, x2), q(x2, x1)
-
-    def lookup(a, b):
-        return table[(tuple(a), tuple(b))]
-
-    if level == "b2-11212":
-        # coefficient q12 * ((3)_q11 - (2)_q22)
-        coeff = q12 * (f.one() + q11 + q11 * q11 - f.one() - q22)
-        if coeff.is_zero():
-            return None
-        qp = q12 * (coeff * (f.one() + q11 * q11 * q12 * q21 * q22) - q11 * q12 * (f.one() + q22))
-        combo = datum.q_commutator(table[(x1, x112)], datum.letter(x2), q((1, 1, 1, 2), x2))
-        delta = datum.partial_delta(x1, table[(x12, x2)], lookup, (1, 2, 2))
-        combo = combo - datum.q_commutator(datum.letter(x1), delta, q(x1, (1, 1, 2, 2)))
-        combo = combo + datum.monomial((x12, x112)).scale(qp)
-        rhs = combo.scale(-coeff.inverse())
-        if not datum.prec_L_check(rhs, (x11212,), strict=True):
-            raise ValueError("forced right-hand side for 11212 violates the lower-terms shape")
-        return coeff, rhs, x11212, 1
-
-    if level == "b2-112":
-        if datum.heights.get(x112) != 2:
-            raise ValueError("b2-112 needs height 2 for the word 112")
-        coeff = q11 * q11 * q12 * (f.one() - q12 * q21 * q22)
-        if coeff.is_zero():
-            return None
-        combo = datum.q_commutator(table[(x1, x112)], datum.letter(x12), q((1, 1, 1, 2), x12))
-        combo = combo - datum.q_commutator(datum.letter(x1), table[(x112, x12)], q(x1, x11212))
-        rhs = combo.scale(-coeff.inverse())
-        check_shape(rhs, x112, 2)
-        return coeff, rhs, x112, 2
-
-    if level == "b2-12":
-        if datum.heights.get(x12) != 3:
-            raise ValueError("b2-12 needs height 3 for the word 12")
-        coeff = q12 * q12 * q22 * (q22 - q11) * (q11 * q11 * q12 * q21 - f.one())
-        if coeff.is_zero():
-            return None
-        delta = datum.partial_delta(x1, table[(x12, x2)], lookup, (1, 2, 2))
-        combo = datum.q_commutator(table[(x112, x12)], datum.letter(x2), q(x11212, x2))
-        combo = combo - datum.q_commutator(datum.letter(x112), table[(x12, x2)], q(x112, (1, 2, 2)))
-        combo = combo + datum.mul(datum.letter(x12), delta).scale(q(x112, x12))
-        combo = combo - datum.mul(delta, datum.letter(x12)).scale(q(x12, x2))
-        rhs = combo.scale(-coeff.inverse())
-        check_shape(rhs, x12, 3)
-        return coeff, rhs, x12, 3
-
-    raise ValueError(f"unknown level {level!r}")
-
-
-def _need_letters(datum, needed, level):
+    """The relation that the q-Jacobi condition of a level forces.  Its
+    element, normal-formed by every rule but the target's own, is c * lhs +
+    rest; the condition holds only when lhs = -rest / c.  A commutator
+    target's stored value is zeroed first, so that no rule or table entry
+    uses it.  Returns (c, rhs, replaced word, replaced height), or None when
+    c vanishes."""
+    if level not in FORCED_LEVELS:
+        raise ValueError(f"unknown level {level!r}")
+    triple, word, n = FORCED_LEVELS[level]
+    lhs = shirshov_decompose(word) if n == 1 else (word,) * n
     members = set(datum.L)
-    missing = [format_word(w) for w in needed if w not in members]
+    needed = set(triple) | set(lhs) | {(i,) for u in triple for i in u}
+    missing = [format_word(u) for u in sorted(needed) if u not in members]
     if missing:
         raise ValueError(f"{level} needs L to contain {missing}")
+    if n > 1 and datum.heights.get(word) != n:
+        raise ValueError(f"{level} needs height {n} for the word {format_word(word)}")
+    if n == 1:
+        datum = replace(datum, reds=datum.reds | {word: NCPoly.zero()})
+        table = bracket_table(datum)
+    rules = build_rules(datum, table).rules
+    pruned = RuleSystem(datum, {k: r for k, r in rules.items() if k != lhs})
+    rest = normal_form(pruned, jacobi_element(datum, table, *triple))
+    coeff = rest.terms.pop((lhs, datum.group.identity()), None)
+    if coeff is None:
+        return None
+    rhs = rest.scale(-coeff.inverse())
+    if n == 1:
+        rhs = rhs - datum.monomial(lhs[::-1]).scale(datum.q_uv(*lhs))
+    if not datum.prec_L_check(rhs, (word,) * n, strict=True):
+        power = f"^{n}" if n > 1 else ""
+        raise ValueError(f"forced right-hand side for {format_word(word)}{power} violates the lower-terms shape")
+    return coeff, rhs, word, n
 
 
 def generic_redundancies(datum, table):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
@@ -14,8 +15,9 @@ from pbw import cli, criterion
 from pbw.algebra import NCPoly
 from pbw.cli import main
 from pbw.datumio import MAX_CONDUCTOR, MAX_GROUP_ORDER, MAX_HEIGHT, MAX_PRIME, datum_to_dict, save_datum
-from pbw.exprs import ExprError, parse_expr
+from pbw.exprs import MAX_EXPR_DEGREE, MAX_EXPR_TERMS, ExprError, parse_expr
 from pbw.presets import PRESET_NAMES, build_preset
+from pbw.words import MAX_LYNDON_WORDS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -164,6 +166,29 @@ def test_nf_parse_error(capsys, qplane_file):
     assert "line 1" in err and "column" in err
 
 
+@pytest.mark.parametrize("expr", [
+    "(x1+x2)^16",                       # 65,536 terms, about 1 s to expand
+    f"x1^{MAX_EXPR_DEGREE + 1}",
+    "(x1^100)^11",                      # a word of 1,100 letters
+    "g1^1000000000",
+    "[(x1+x2)^8, (x1+x2)^8]",
+])
+def test_nf_refuses_an_expression_past_the_limits(capsys, tmp_path, expr):
+    path = tmp_path / "uq.json"
+    save_datum(build_preset("uq_sl2").datum, path)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "nf", str(path), expr)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and "exceeds the limit" in err
+
+
+def test_expression_limits_admit_their_largest_values():
+    d = build_preset("uq_sl2").datum
+    assert len(parse_expr("(x1+x2)^7 * (x1+x2)^7", d).terms) == MAX_EXPR_TERMS
+    assert parse_expr(f"x1^{MAX_EXPR_DEGREE}", d) == d.monomial([(1,)] * MAX_EXPR_DEGREE)
+
+
 def test_dim_and_hilbert(capsys, taft_file, qplane_file):
     code, out, _ = run(capsys, "dim", taft_file)
     assert code == 0 and out.strip() == "9"
@@ -192,6 +217,16 @@ def test_lyndon_and_shirshov(capsys):
     assert code == 2
     code, _, err = run(capsys, "lyndon", "--theta", "0", "--max-len", "2")
     assert code == 2
+
+
+def test_lyndon_refuses_a_count_past_the_limit(capsys):
+    # over two letters: 58,636 words up to length 19, 111,013 up to length 20
+    assert 58_636 <= MAX_LYNDON_WORDS < 111_013
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "lyndon", "--theta", "2", "--max-len", "20")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_hilbert_rejects_negative_degree(capsys, qplane_file):

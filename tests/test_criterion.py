@@ -2,6 +2,7 @@
 check itself on passing and broken data, and the redundancy toolkit."""
 
 import itertools
+import math
 import time
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbw import criterion
-from pbw.algebra import Datum, GroupSpec, NCPoly
+from pbw.algebra import Datum, GroupSpec, NCPoly, format_poly
 from pbw.criterion import (
     bracket_table,
     check_pbw,
@@ -34,7 +35,7 @@ from pbw.oracle import (
 )
 from pbw.presets import PRESET_NAMES, build_preset
 from pbw.rewrite import build_rules, dimension, normal_form, reduce_bounded
-from pbw.scalars import CycloField, PrimeField
+from pbw.scalars import CycloField, PrimeField, format_scalar
 from pbw.words import prec_cmp, xlen
 
 
@@ -618,6 +619,24 @@ def test_forced_power_rank2_reproduces_stored_redhat():
         coeff, rhs, word, n = got
         assert (word, n) == ((1, 2), 2)
         assert rhs == d.redhats[(1, 2)], name
+    # the stored redhat_12 is built by the same function, so also pin
+    # (coefficient, forced redhat_12) at two settings of mu1 and mu2, as the
+    # hand-derived closed forms gave them
+    pinned = {
+        ("lifting_a2_2a", 2, -3): ("z", "(9 - 9*z)*x1*x1*g1^4"),
+        ("lifting_a2_2a", "1/2", 5): ("z", "(-15 + 15*z)*x1*x1*g1^4"),
+        ("lifting_a2_2b", 2, -3): ("-1 - z", "-6*x1*x1*g1^2 + (1 - z)*x2"),
+        ("lifting_a2_2b", "1/2", 5): ("-1 - z", "10*x1*x1*g1^2 + (1 - z)*x2"),
+        ("lifting_a2_3a", 2, -3): ("-1 + z", "6*z*x2*x2"),
+        ("lifting_a2_3a", "1/2", 5): ("-1 + z", "3/2*z*x2*x2"),
+        ("lifting_a2_3b", 2, -3): ("1 - z", "-4*z*x2*x2 + (-1 - z)*x1*g1^3"),
+        ("lifting_a2_3b", "1/2", 5): ("1 - z", "-z*x2*x2 + (-1 - z)*x1*g1^3"),
+    }
+    for (name, mu1, mu2), want in pinned.items():
+        d = build_preset(name, mu1=mu1, mu2=mu2).datum
+        coeff, rhs, word, n = forced_power_from_jacobi(d, bracket_table(d), "rank2-12")
+        assert (word, n) == ((1, 2), 2)
+        assert (format_scalar(coeff), format_poly(rhs)) == want, (name, mu1, mu2)
 
 
 def test_forced_power_not_applicable_when_coefficient_vanishes():
@@ -661,6 +680,18 @@ def b2_shape(m, a, b, c, e, heights):
     )
 
 
+def b2_by_exponents(m, a, b, c, e):
+    """b2_shape with every height the order of its q_uu."""
+    def order(k):
+        return m // math.gcd(k, m)
+
+    heights = {
+        (1,): order(a), (1, 1, 2): order(4 * a + 2 * (b + c) + e),
+        (1, 2): order(a + b + c + e), (2,): order(e),
+    }
+    return b2_shape(m, a, b, c, e, heights)
+
+
 def test_forced_power_b2_height_two_level():
     # 4a + 2(b+c) + e = 4 mod 8 gives the middle word height two
     d = b2_shape(8, a=1, b=1, c=2, e=2, heights={(1,): 8, (1, 1, 2): 2, (1, 2): 4, (2,): 4})
@@ -684,6 +715,27 @@ def test_forced_power_b2_height_two_level():
     assert rhs == d.monomial(((1, 2), (1, 1, 2))).scale(-q.inverse() * qp)
     assert not rhs.is_zero()
 
+    # more exponents (m, q11, q12, q21, q22) with 112 of height two; the
+    # b2-112 coefficient vanishes on the Z/4 datum
+    for m, a, b, c, e in [(8, 1, 0, 2, 4), (8, 1, 3, 2, 6), (6, 1, 0, 1, 3), (4, 1, 0, 2, 2), (12, 1, 0, 11, 4)]:
+        d = b2_by_exponents(m, a, b, c, e)
+        assert d.validate() == [] and d.heights[(1, 1, 2)] == 2
+        tab = bracket_table(d)
+        f = d.field
+        q11, q12, q21, q22 = f.root(a), f.root(b), f.root(c), f.root(e)
+        expect = q11 * q11 * q12 * (f.one() - q12 * q21 * q22)
+        got = forced_power_from_jacobi(d, tab, "b2-112")
+        if expect.is_zero():
+            assert got is None, m
+        else:
+            coeff, rhs, word, n = got
+            assert coeff == expect and rhs.is_zero() and (word, n) == ((1, 1, 2), 2)
+        coeff, rhs, word, n = forced_power_from_jacobi(d, tab, "b2-11212")
+        q = q12 * (f.one() + q11 + q11 * q11 - f.one() - q22)
+        qp = q12 * (q * (f.one() + q11 * q11 * q12 * q21 * q22) - q11 * q12 * (f.one() + q22))
+        assert coeff == q and (word, n) == ((1, 1, 2, 1, 2), 1)
+        assert rhs == d.monomial(((1, 2), (1, 1, 2))).scale(-q.inverse() * qp)
+
 
 def test_forced_power_b2_height_three_level():
     # a + b + c + e = 3 mod 9 gives the pair word height three
@@ -697,6 +749,21 @@ def test_forced_power_b2_height_three_level():
     q11, q12, q21, q22 = f.root(1), f.root(4), f.root(5), f.root(2)
     assert coeff == q12 * q12 * q22 * (q22 - q11) * (q11 * q11 * q12 * q21 - f.one())
     assert rhs.is_zero() and (word, n) == ((1, 2), 3)
+
+    # more exponents (m, q11, q12, q21, q22) with 12 of height three; the
+    # coefficient vanishes on the first Z/6 datum
+    for m, a, b, c, e in [(9, 1, 0, 0, 2), (6, 1, 0, 2, 1), (6, 1, 0, 1, 2), (12, 1, 0, 1, 2), (12, 1, 0, 11, 4)]:
+        d = b2_by_exponents(m, a, b, c, e)
+        assert d.validate() == [] and d.heights[(1, 2)] == 3
+        f = d.field
+        q11, q12, q21, q22 = f.root(a), f.root(b), f.root(c), f.root(e)
+        expect = q12 * q12 * q22 * (q22 - q11) * (q11 * q11 * q12 * q21 - f.one())
+        got = forced_power_from_jacobi(d, bracket_table(d), "b2-12")
+        if expect.is_zero():
+            assert got is None, m
+        else:
+            coeff, rhs, word, n = got
+            assert coeff == expect and rhs.is_zero() and (word, n) == ((1, 2), 3)
 
 
 def test_b2_coefficient_special_forms():

@@ -10,7 +10,6 @@ from pbw.words import (
     format_word,
     is_lyndon,
     is_shirshov_closed,
-    lex_cmp,
     longest_lyndon_proper_ending_split,
     lyndon_up_to,
     parse_word,
@@ -50,22 +49,6 @@ def necklace_count(theta, n):
 
     total = sum(mobius(d) * theta ** (n // d) for d in range(1, n + 1) if n % d == 0)
     return total // n
-
-
-def test_lex_order_examples():
-    assert lex_cmp((1,), (1, 2)) < 0
-    assert lex_cmp((1, 2), (2,)) < 0
-    assert lex_cmp((1, 2), (1, 2)) == 0
-
-
-def test_lex_order_is_total_on_random_triples():
-    rng = random.Random(11)
-    words = [tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 5))) for _ in range(200)]
-    for u, v, w in zip(words, words[1:], words[2:]):
-        assert (lex_cmp(u, v) == 0) == (u == v)
-        assert lex_cmp(u, v) == -lex_cmp(v, u)
-        if lex_cmp(u, v) <= 0 and lex_cmp(v, w) <= 0:
-            assert lex_cmp(u, w) <= 0
 
 
 def test_is_lyndon_examples():

@@ -78,7 +78,11 @@ def _cmd_nf(args):
     except ExprError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    nf = normal_form(rules, poly)
+    try:
+        nf = normal_form(rules, poly)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     print(format_poly(nf))
     return 0
 

@@ -17,6 +17,7 @@ from pbw.cli import main
 from pbw.datumio import MAX_CONDUCTOR, MAX_GROUP_ORDER, MAX_HEIGHT, MAX_PRIME, datum_to_dict, save_datum
 from pbw.exprs import MAX_EXPR_DEGREE, MAX_EXPR_TERMS, ExprError, parse_expr
 from pbw.presets import PRESET_NAMES, build_preset
+from pbw.rewrite import MAX_NF_LETTERS
 from pbw.words import MAX_LYNDON_WORDS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -181,6 +182,15 @@ def test_nf_refuses_an_expression_past_the_limits(capsys, tmp_path, expr):
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
     assert err.startswith("parse error: ") and "exceeds the limit" in err
+
+
+def test_nf_refuses_a_rewrite_past_the_letter_limit(capsys, qplane_file):
+    # inside the parse limits, but about 250 M letters of rewriting
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "nf", qplane_file, "x1^500*x2^500")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 2 and out == ""
+    assert err == f"error: normal form rewrites more than {MAX_NF_LETTERS} letters\n"
 
 
 def test_expression_limits_admit_their_largest_values():

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from pbw import rewrite
 from pbw.algebra import NCPoly
-from pbw.criterion import bracket_table
+from pbw.criterion import _conditions, bracket_table
 from pbw.oracle import quotient_rank
 from pbw.presets import build_preset
 from pbw.rewrite import (
@@ -138,6 +139,99 @@ def test_reduce_bounded():
     # sites at or beyond the bound are left alone
     blocked = reduce_bounded(rs, d.monomial(((1,), (2,))), ((1,), (2,)))
     assert blocked == d.monomial(((1,), (2,)))
+
+
+def rescan_reduce(rs, a, bound):
+    """Reference reduction: after each rewrite, search every monomial for a
+    site and rewrite the greatest reducible one."""
+    work = a.copy()
+    while True:
+        sites = {}
+        for mono in work.terms:
+            s = rs.find_site(mono[0], bound)
+            if s is not None:
+                sites[mono] = s
+        if not sites:
+            return work
+        mono = min(sites, key=lambda m: (greatest_first(m[0]), m[1]))
+        c = work.terms.pop(mono)
+        for m2, c2 in rs.rewrite_at(mono[0], mono[1], sites[mono]).terms.items():
+            work.add_term(m2, c * c2)
+
+
+def random_poly(d, rng):
+    """A product of a few random sums of letters and group-likes, so that
+    equal words with different group parts meet."""
+    letters = list(d.L)
+    els = d.group.elements()
+    factors = []
+    for _ in range(rng.randint(1, 4)):
+        f = NCPoly.zero()
+        for _ in range(rng.randint(1, 3)):
+            coeff = d.field.root(rng.randrange(6))
+            if rng.random() < 0.3:
+                f = f + d.group_like(rng.choice(els), coeff)
+            else:
+                f = f + d.monomial((rng.choice(letters),), rng.choice(els), coeff)
+        factors.append(f)
+    return d.mul_many(*factors)
+
+
+PARITY_PRESETS = [("uq_sl2", {"N": 3}), ("uq_sl2", {"N": 5}), ("lifting_a2_2a", {}), ("b2_scaffold", {})]
+
+
+@pytest.mark.parametrize("name,kw", PARITY_PRESETS, ids=[f"{n}{kw.get('N', '')}" for n, kw in PARITY_PRESETS])
+def test_heap_reduction_matches_the_rescan_term_for_term(name, kw):
+    p, rs = rules_for(name, **kw)
+    d = p.datum
+    rng = random.Random(73)
+    for _ in range(30):
+        a = random_poly(d, rng)
+        assert list(normal_form(rs, a).terms.items()) == list(rescan_reduce(rs, a, None).terms.items())
+    table = bracket_table(d)
+    for _kind, _words, element, bound in _conditions(d, table, "full"):
+        bound = tuple(tuple(u) for u in bound)
+        for a in (element, random_poly(d, rng), random_poly(d, rng)):
+            got = reduce_bounded(rs, a, bound)
+            assert list(got.terms.items()) == list(rescan_reduce(rs, a, bound).terms.items())
+
+
+def test_site_searches_are_linear_in_the_terms_handled(monkeypatch):
+    p, rs = rules_for("uq_sl2", N=3)
+    d = p.datum
+    a = d.mul_many(*[d.letter((1,)) + d.letter((2,))] * 10)
+    counts = {"find_site": 0, "produced": 0}
+    find_site, rewrite_at = rewrite.RuleSystem.find_site, rewrite.RuleSystem.rewrite_at
+
+    def counting_find_site(self, U, bound=None):
+        counts["find_site"] += 1
+        return find_site(self, U, bound)
+
+    def counting_rewrite_at(self, U, g, site):
+        out = rewrite_at(self, U, g, site)
+        counts["produced"] += len(out.terms)
+        return out
+
+    monkeypatch.setattr(rewrite.RuleSystem, "find_site", counting_find_site)
+    monkeypatch.setattr(rewrite.RuleSystem, "rewrite_at", counting_rewrite_at)
+    normal_form(rs, a)
+    assert counts["produced"] > 0
+    assert counts["find_site"] <= len(a.terms) + counts["produced"]
+
+
+def test_normal_form_refuses_past_the_letter_limit(monkeypatch):
+    p, rs = rules_for("quantum_plane")
+    d = p.datum
+    # x1^3 x2^3 takes 9 steps on words of 6 letters
+    a = d.mul(d.monomial(((1,),) * 3), d.monomial(((2,),) * 3))
+    nf = d.monomial(((2,),) * 3 + ((1,),) * 3).scale(d.q_uv((1,), (2,)) ** 9)
+    monkeypatch.setattr(rewrite, "MAX_NF_LETTERS", 54)
+    assert normal_form(rs, a) == nf
+    monkeypatch.setattr(rewrite, "MAX_NF_LETTERS", 53)
+    with pytest.raises(ValueError, match="more than 53 letters"):
+        normal_form(rs, a)
+    # bounded reduction has no letter limit
+    assert reduce_bounded(rs, a, ((1,),) * 7) == nf
 
 
 def test_pbw_words_match_irreducibility():

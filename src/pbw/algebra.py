@@ -370,7 +370,7 @@ class Datum:
 
     # -- shape predicates --------------------------------------------------
 
-    def prec_L_check(self, a: NCPoly, W, strict=True) -> bool:
+    def prec_L_check(self, a: NCPoly, W) -> bool:
         """True when a is a combination of equal-length super words beyond W
         (with trivial group part) plus strictly shorter words with any group
         part."""
@@ -382,45 +382,9 @@ class Datum:
             if lu == lw:
                 if g != self.group.identity():
                     return False
-                if U < W or (strict and U == W):
+                if U <= W:
                     return False
         return True
-
-    # -- the derivation used by the bracket-reduction recursion -------------
-
-    def partial_delta(self, u1, a: NCPoly, bracket_lookup, tail) -> NCPoly:
-        """Linear operator behind the inductive bracket-reduction step.
-
-        Full-length monomials of a (length == len(tail), trivial group part)
-        get their leading bracket replaced through bracket_lookup; shorter
-        monomials V g are sent to [x_u1, V] twisted by q_{u1,tail} chi_u1(g),
-        times g.
-        """
-        u1 = tuple(u1)
-        full = len(tail)
-        out = NCPoly.zero()
-        x_u1 = self.letter(u1)
-        for (U, g), c in a.terms.items():
-            lu = xlen(U)
-            if lu > full:
-                raise ValueError("monomial longer than the target word")
-            if U and lu == full:
-                if g != self.group.identity():
-                    raise ValueError("full-length monomial with a group factor")
-                head = bracket_lookup(u1, U[0])
-                rest = self.monomial(U[1:])
-                out = out + self.mul(head, rest).scale(c)
-                tw = 0
-                for i in range(1, len(U)):
-                    tw = (tw + self.q_exp(u1, U[i - 1])) % self.field.unit_order
-                    br = self.q_commutator(x_u1, self.letter(U[i]), self.q_uv(u1, U[i]))
-                    piece = self.mul_many(self.monomial(U[:i]), br, self.monomial(U[i + 1:]))
-                    out = out + piece.scale(c * self.field.root(tw))
-            else:
-                twist = self.q_uv(u1, tail) * self.chi_apply(self.chi_word(u1), g)
-                br = self.q_commutator(x_u1, self.monomial(U), twist)
-                out = out + self.mul(br, self.group_like(g)).scale(c)
-        return out
 
     # -- validation ----------------------------------------------------------
 
@@ -505,5 +469,5 @@ class Datum:
         if not a.is_zero():
             if deg is None or not self.chi_eq(deg, chi_target):
                 errors.append(f"{name} is not character-homogeneous of the required degree")
-        if not self.prec_L_check(a, bound, strict=True):
+        if not self.prec_L_check(a, bound):
             errors.append(f"{name} violates the lower-terms shape against {format_word(w)}")

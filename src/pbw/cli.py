@@ -57,7 +57,11 @@ def _load(path):
 
 def _cmd_check(args):
     d = _load(args.file)
-    report = check_pbw(d, mode=args.mode)
+    try:
+        report = check_pbw(d, mode=args.mode)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     dim = dimension(d)
     if args.json:
         payload = report.to_json()

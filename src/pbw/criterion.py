@@ -6,6 +6,7 @@ relation toolkit for rank-two and B2-shaped presentations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 from .algebra import NCPoly
 from .rewrite import RuleSystem, build_rules, normal_form, reduce_bounded
@@ -18,21 +19,21 @@ from .words import format_word, shirshov_decompose, xlen
 # ---------------------------------------------------------------------------
 
 def bracket_table(datum) -> dict:
-    """For every u < v in L, the reduction target of [x_u, x_v]: the letter
-    x_{uv} or the stored relation right-hand side when uv splits as (u|v),
-    and otherwise the value of the defining recursion
+    """For every u < v in L, the reduction target T[u, v] of [x_u, x_v]: the
+    letter x_{uv} or the stored relation right-hand side when uv splits as
+    (u|v), and otherwise the value of the defining recursion
         delta_{u1}(T[u2, v]) + q_{u2,v} T[u1, v] x_{u2} - q_{u1,u2} x_{u2} T[u1, v]
-    with (u1, u2) the decomposition of u."""
+    with (u1, u2) the decomposition of u.  delta_{u1} brackets x_{u1} into
+    each full-length monomial U = U0 rest letter by letter, reading the first
+    bracket as T[u1, U0]; the later brackets telescope to one q-commutator,
+        sum_{i>=1} q_{u1,U[:i]} U[:i] [x_{u1}, x_{U_i}] U[i+1:]
+            = [x_{u1}, U]_{q_{u1,U}} - [x_{u1}, x_{U0}]_{q_{u1,U0}} rest."""
     members = set(datum.L)
     pairs = sorted(
         ((u, v) for u in datum.L for v in datum.L if u < v),
         key=lambda p: (len(p[0]), p[0], p[1]),
     )
     table = {}
-
-    def lookup(a, b):
-        return table[(tuple(a), tuple(b))]
-
     for u, v in pairs:
         w = u + v
         if shirshov_decompose(w) == (u, v):
@@ -42,11 +43,32 @@ def bracket_table(datum) -> dict:
                 table[(u, v)] = datum.reds[w].copy()
         else:
             u1, u2 = shirshov_decompose(u)
-            t = datum.partial_delta(u1, table[(u2, v)], lookup, u2 + v)
+            t = _delta(datum, table, u1, table[(u2, v)], u2 + v)
             t = t + datum.mul(table[(u1, v)], datum.letter(u2)).scale(datum.q_uv(u2, v))
             t = t - datum.mul(datum.letter(u2), table[(u1, v)]).scale(datum.q_uv(u1, u2))
             table[(u, v)] = t
     return table
+
+
+def _delta(datum, table, u1, a: NCPoly, tail) -> NCPoly:
+    """delta_{u1}(a) for an entry a of the word tail: the telescoped sum on a
+    full-length c U, c [x_{u1}, V g]_{q_{u1,tail}} on a shorter c V g."""
+    x_u1 = datum.letter(u1)
+    out = NCPoly.zero()
+    for (U, g), c in a.terms.items():
+        lu = xlen(U)
+        if lu > len(tail):
+            raise ValueError("monomial longer than the target word")
+        if U and lu == len(tail):
+            if g != datum.group.identity():
+                raise ValueError("full-length monomial with a group factor")
+            head = table[(u1, U[0])] - datum.q_commutator(x_u1, datum.letter(U[0]), datum.q_uv(u1, U[0]))
+            t = datum.mul(head, datum.monomial(U[1:]))
+            t = t + datum.q_commutator(x_u1, datum.monomial(U), datum.q_uv(u1, sum(U, ())))
+        else:
+            t = datum.q_commutator(x_u1, datum.monomial(U, g), datum.q_uv(u1, tail))
+        out = out + t.scale(c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +127,25 @@ def leibniz_gt_element(datum, table, v, u) -> NCPoly:
 # bounded membership
 # ---------------------------------------------------------------------------
 
+# Placement budget of bounded_span_elements: the placements a*lhs*b of at
+# most as many letters as the bound, counted before any word is built.  The
+# largest count in the test suites, the benchmark's check-tampered seeds 1-5
+# and CI is 4,107, for tampered uq_sl2 N = 9 (red_12 = 1 - g; 0.4 s).  At
+# N = 11 and 13 the counts are 20,491 and 98,315 (1.4 s and 6 s on a shared
+# 2-core x86-64 host); N = 15 is refused at 458,763 (35 s without the
+# limit), and so is b2_scaffold with red_122 = -x2 x2 x1 at 15,606,751,
+# where the span test ran for minutes.
+MAX_SPAN_PLACEMENTS = 200_000
+
+
 def bounded_span_elements(rs: RuleSystem, bound, degree=None):
     """All rule elements a*(lhs - rhs)*b*h whose full word a*lhs*b precedes
     the bound, for every element h of the group, which must be finite.
     Group letters on the left are absorbed by character homogeneity, so
     contexts are words times a right group factor.  With a degree, only the
-    placements whose word a*lhs*b has that character degree are built."""
+    placements whose word a*lhs*b has that character degree are built.
+    Raises ValueError when there are more than MAX_SPAN_PLACEMENTS
+    placements of at most as many letters as the bound."""
     datum = rs.datum
     els = datum.group.elements()
     identity = datum.group.identity()
@@ -126,6 +161,20 @@ def bounded_span_elements(rs: RuleSystem, bound, degree=None):
     letters = sorted(datum.L)
     bound = tuple(tuple(u) for u in bound)
     lb = xlen(bound)
+
+    # exact[k], upto[k]: the numbers of context words of exactly and of at
+    # most k original letters
+    exact = [1]
+    for k in range(1, lb + 1):
+        exact.append(sum(exact[k - len(l)] for l in letters if len(l) <= k))
+    upto = list(accumulate(exact))
+    lengths = [xlen(lhs) for lhs in rs.rules if xlen(lhs) <= lb]
+    placements = sum(exact[la] * upto[lb - ll - la] for ll in lengths for la in range(lb - ll + 1))
+    if placements > MAX_SPAN_PLACEMENTS:
+        raise ValueError(
+            f"the span test below a bound of {lb} letters needs {placements} "
+            f"placements, more than {MAX_SPAN_PLACEMENTS}"
+        )
 
     # fits[k]: the context words of at most k original letters, with their
     # lengths, in the order of their construction
@@ -356,7 +405,7 @@ def forced_power_from_jacobi(datum, table, level):
     rhs = rest.scale(-coeff.inverse())
     if n == 1:
         rhs = rhs - datum.monomial(lhs[::-1]).scale(datum.q_uv(*lhs))
-    if not datum.prec_L_check(rhs, (word,) * n, strict=True):
+    if not datum.prec_L_check(rhs, (word,) * n):
         power = f"^{n}" if n > 1 else ""
         raise ValueError(f"forced right-hand side for {format_word(word)}{power} violates the lower-terms shape")
     return coeff, rhs, word, n

@@ -215,6 +215,8 @@ def quotient_rank(datum, margin=0) -> int:
             f"quotient rank needs more than {MAX_ORACLE_ROWS} rows "
             f"({nrows} at truncation length {max_len})"
         )
+    # the h with lg*h in H, for each lg; elements() lists G in sorted order
+    right_hs = {lg: sorted(group.mul(group.power(lg, -1), k) for k in sub) for lg in left_gs}
     ech = Echelon()
     for r, deg in zip(gens, degs):
         if deg > max_len:
@@ -223,12 +225,9 @@ def quotient_rank(datum, margin=0) -> int:
             pa = datum.monomial(a)
             for lg in left_gs:
                 base = datum.mul(datum.group_like(lg), datum.mul(pa, r)) if lg != ident else datum.mul(pa, r)
-                # the h with lg*h in H; elements() lists G in sorted order
-                inv = group.power(lg, -1)
-                hs = sorted(group.mul(inv, k) for k in sub)
                 for b in words[:ends[max_len - deg - len(a)]]:
                     row = datum.mul(base, datum.monomial(b))
                     keyed = [(*greatest_first(U), g, c) for (U, g), c in row.terms.items()]
-                    for h in hs:
+                    for h in right_hs[lg]:
                         ech.insert({(k, U, group.mul(g, h)): c for k, U, g, c in keyed})
     return ncols - order // len(sub) * ech.rank

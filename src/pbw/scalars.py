@@ -368,7 +368,6 @@ class PrimeField:
         self.characteristic = p
         self.unit_order = p - 1 if p > 2 else 1
         self.generator = self._primitive_root()
-        self.torsion_bound = max(self.unit_order, 1)
 
     def _primitive_root(self):
         if self.p == 2:
@@ -407,12 +406,14 @@ class PrimeField:
         return self.element(pow(self.generator, k % max(self.unit_order, 1), self.p))
 
     def order(self, x: Fp):
+        """The order of x in the unit group: p - 1 with every prime factor l
+        divided out while x^(n/l) = 1 still holds."""
         if x.value == 0:
             raise ZeroDivisionError("not a unit")
-        acc, n = x.value, 1
-        while acc != 1:
-            acc = acc * x.value % self.p
-            n += 1
+        n = self.p - 1
+        for l in _prime_factors(n):
+            while n % l == 0 and pow(x.value, n // l, self.p) == 1:
+                n //= l
         return n
 
 

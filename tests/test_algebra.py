@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 import pytest
 
 from pbw.algebra import Datum, GroupSpec, NCPoly, format_monomial, format_poly
+from pbw.criterion import _delta
 from pbw.scalars import CycloField, PrimeField, q_binomial
 from pbw.words import lyndon_up_to
 
@@ -375,8 +376,7 @@ def test_prec_L_check():
     bigger = d.monomial(((2,), (1,)))
     assert d.prec_L_check(bigger, W)
     itself = d.monomial(((1, 2),))
-    assert not d.prec_L_check(itself, W, strict=True)
-    assert d.prec_L_check(itself, W, strict=False)
+    assert not d.prec_L_check(itself, W)
     # an equal-length term with a group factor is not allowed
     withg = d.monomial(((2,), (1,)), (1,))
     assert not d.prec_L_check(withg, W)
@@ -387,41 +387,29 @@ def test_prec_L_check():
 def test_partial_delta_single_letter():
     d = generic_datum()
     table = {((1,), (2,)): d.letter((1, 2))}
-
-    def lookup(a, b):
-        return table[(tuple(a), tuple(b))]
-
     # the one-letter case keeps only the replaced leading bracket
-    out = d.partial_delta((1,), d.letter((2,)), lookup, (2,))
+    out = _delta(d, table, (1,), d.letter((2,)), (2,))
     assert out == d.letter((1, 2))
 
 
 def test_partial_delta_group_monomial():
     d = generic_datum()
-
-    def lookup(a, b):
-        raise AssertionError("no lookups expected")
-
     tail = (2, 2)
     g = d.group.element((1,))
-    out = d.partial_delta((1,), d.group_like(g), lookup, tail)
+    out = _delta(d, {}, (1,), d.group_like(g), tail)
     c = d.q_uv((1,), tail) * d.chi_apply(d.chi_word((1,)), g)
     expect = d.monomial(((1,),), g).scale(d.field.one() - c)
     assert out == expect
     # with the twist equal to one the value vanishes: pick g with trivial pairing
     d2 = replace(d, chi=((0,), (2,)))
-    out2 = d2.partial_delta((1,), d2.group_like(d2.group.identity()), lookup, ())
+    out2 = _delta(d2, {}, (1,), d2.group_like(d2.group.identity()), ())
     assert out2.is_zero()
 
 
 def test_partial_delta_two_letters():
     d = generic_datum()
     table = {((1,), (2,)): d.letter((1, 2))}
-
-    def lookup(a, b):
-        return table[(tuple(a), tuple(b))]
-
-    out = d.partial_delta((1,), d.monomial(((2,), (2,))), lookup, (2, 2))
+    out = _delta(d, table, (1,), d.monomial(((2,), (2,))), (2, 2))
     q12 = d.q_uv((1,), (2,))
     bracket = d.q_commutator(d.letter((1,)), d.letter((2,)), q12)
     expect = d.mul(d.letter((1, 2)), d.letter((2,))) + d.mul(d.letter((2,)), bracket).scale(q12)

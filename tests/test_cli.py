@@ -193,6 +193,24 @@ def test_nf_refuses_a_rewrite_past_the_letter_limit(capsys, qplane_file):
     assert err == f"error: normal form rewrites more than {MAX_NF_LETTERS} letters\n"
 
 
+def test_check_refuses_a_span_test_past_the_placement_limit(capsys, tmp_path):
+    # valid, but leibniz(112;112<2) leaves a residue whose span test below
+    # its 16-letter bound has 15,606,751 placements; it ran for minutes
+    raw = datum_to_dict(build_preset("b2_scaffold").datum)
+    raw["reds"]["122"] = [{"word": ["2", "2", "1"], "grp": [0], "coeff": "-1"}]
+    path = tmp_path / "b2_tampered.json"
+    path.write_text(json.dumps(raw))
+    for extra in ((), ("--mode", "reduced", "--json")):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "check", str(path), *extra)
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 2 and out == ""
+        assert err == (
+            "error: the span test below a bound of 16 letters needs 15606751 "
+            f"placements, more than {criterion.MAX_SPAN_PLACEMENTS}\n"
+        )
+
+
 def test_expression_limits_admit_their_largest_values():
     d = build_preset("uq_sl2").datum
     assert len(parse_expr("(x1+x2)^7 * (x1+x2)^7", d).terms) == MAX_EXPR_TERMS

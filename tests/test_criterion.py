@@ -3,6 +3,7 @@ check itself on passing and broken data, and the redundancy toolkit."""
 
 import itertools
 import math
+import random
 import time
 from dataclasses import replace
 
@@ -36,7 +37,7 @@ from pbw.oracle import (
 from pbw.presets import PRESET_NAMES, build_preset
 from pbw.rewrite import build_rules, dimension, normal_form, reduce_bounded
 from pbw.scalars import CycloField, PrimeField, format_scalar
-from pbw.words import prec_cmp, xlen
+from pbw.words import prec_cmp, shirshov_decompose, xlen
 
 
 def rank2_scaffold(m, q11, q12, q21, q22, heights=None):
@@ -83,7 +84,7 @@ def test_bracket_entries_respect_the_lower_terms_shape():
     for name in ("uq_sl2", "lifting_a2_2b", "lifting_a2_1b", "b2_scaffold"):
         d = build_preset(name).datum
         for (u, v), entry in bracket_table(d).items():
-            assert d.prec_L_check(entry, (u + v,), strict=False), (name, u, v)
+            assert entry == d.letter(u + v) or d.prec_L_check(entry, (u + v,)), (name, u, v)
 
 
 def free_heights_datum(m, L, chi1, chi2, reds=None):
@@ -154,6 +155,96 @@ def test_bracket_recursion_double_derivation():
     # coefficient pairs 112 with the right argument 12
     coeff = q((1, 1, 2), (1, 2)) - q((1,), (1, 1, 2))
     assert tab[((1, 1, 1, 2), (1, 2))] == d.monomial(((1, 1, 2), (1, 1, 2))).scale(coeff)
+
+
+def letterwise_bracket_table(datum):
+    """Reference for bracket_table: the recursion with delta_{u1} expanded
+    letter by letter, one twisted bracket [x_{u1}, x_{U_i}] per position."""
+    pairs = sorted(
+        ((u, v) for u in datum.L for v in datum.L if u < v),
+        key=lambda p: (len(p[0]), p[0], p[1]),
+    )
+    table = {}
+
+    def delta(u1, a, tail):
+        out = NCPoly.zero()
+        x_u1 = datum.letter(u1)
+        for (U, g), c in a.terms.items():
+            lu = xlen(U)
+            assert lu <= len(tail)
+            if U and lu == len(tail):
+                assert g == datum.group.identity()
+                out = out + datum.mul(table[(u1, U[0])], datum.monomial(U[1:])).scale(c)
+                tw = 0
+                for i in range(1, len(U)):
+                    tw = (tw + datum.q_exp(u1, U[i - 1])) % datum.field.unit_order
+                    br = datum.q_commutator(x_u1, datum.letter(U[i]), datum.q_uv(u1, U[i]))
+                    piece = datum.mul_many(datum.monomial(U[:i]), br, datum.monomial(U[i + 1:]))
+                    out = out + piece.scale(c * datum.field.root(tw))
+            else:
+                twist = datum.q_uv(u1, tail) * datum.chi_apply(datum.chi_word(u1), g)
+                br = datum.q_commutator(x_u1, datum.monomial(U), twist)
+                out = out + datum.mul(br, datum.group_like(g)).scale(c)
+        return out
+
+    for u, v in pairs:
+        w = u + v
+        if shirshov_decompose(w) == (u, v):
+            table[(u, v)] = datum.letter(w) if w in datum.L else datum.reds[w].copy()
+        else:
+            u1, u2 = shirshov_decompose(u)
+            t = delta(u1, table[(u2, v)], u2 + v)
+            t = t + datum.mul(table[(u1, v)], datum.letter(u2)).scale(datum.q_uv(u2, v))
+            t = t - datum.mul(datum.letter(u2), table[(u1, v)]).scale(datum.q_uv(u1, u2))
+            table[(u, v)] = t
+    return table
+
+
+def b2_scaffold_variants(count, seed):
+    """Valid b2_scaffold data whose every relation right-hand side is a
+    random nonzero combination of admissible monomials, one of them with a
+    nontrivial group part; full-length monomials of red_122 run the
+    full-length branch of the bracket recursion."""
+    base = build_preset("b2_scaffold").datum
+    words, layer = [], [()]
+    while layer:
+        layer = [U + (u,) for U in layer for u in base.L if xlen(U) + len(u) <= 5]
+        words += layer
+    admissible = {}
+    for w in base.reds:
+        monos = [
+            (U, g) for U in [()] + words for g in base.group.elements()
+            if base.chi_eq(base.word_chi(U), base.chi_word(w))
+            and base.prec_L_check(NCPoly({(U, g): base.field.one()}), (w,))
+        ]
+        admissible[w] = sorted(monos)
+    rng = random.Random(seed)
+    identity = base.group.identity()
+    for _ in range(count):
+        reds = {}
+        for w, monos in sorted(admissible.items()):
+            first = rng.choice([m for m in monos if m[1] != identity])
+            chosen = [first] + [m for m in rng.sample(monos, rng.randint(0, 3)) if m != first]
+            reds[w] = NCPoly({
+                m: base.field.root(rng.randrange(5)) if rng.random() < 0.6 else base.field.from_rational(rng.randint(1, 4))
+                for m in chosen
+            })
+        d = replace(base, reds=reds)
+        assert d.validate() == []
+        yield d
+
+
+def test_bracket_table_matches_the_letterwise_recursion():
+    data = [build_preset(name).datum for name in PRESET_NAMES]
+    data += list(b2_scaffold_variants(200, seed=10))
+    full_length = 0
+    for d in data:
+        full_length += any(xlen(U) == 3 for U, _ in d.reds.get((1, 2, 2), NCPoly()).terms)
+        got, ref = bracket_table(d), letterwise_bracket_table(d)
+        assert list(got) == list(ref)
+        for key, entry in ref.items():
+            assert list(got[key].terms.items()) == list(entry.terms.items()), key
+    assert full_length >= 50
 
 
 def test_jacobi_element_reduces_to_coefficient_times_square():
@@ -388,6 +479,27 @@ def test_bounded_span_places_rule_elements_as_multiplication_does(monkeypatch):
     for rs, bound, degree, out in calls:
         assert degree is not None  # valid data: the span is filtered by degree
         assert out == span_elements_by_multiplication(rs, bound, degree), bound
+
+
+def test_span_placements_are_counted_before_the_limit(monkeypatch):
+    # the count is every (lhs, a, b) with a*lhs*b no longer than the bound,
+    # and exactly MAX_SPAN_PLACEMENTS of them are still built
+    d = tampered_uq_sl2(N=5)
+    table = bracket_table(d)
+    rs = build_rules(d, table)
+    bounds = {bound for *_, bound in criterion._conditions(d, table, "full")}
+    assert len(bounds) == 4
+    for bound in sorted(bounds):
+        words, frontier = [()], [()]
+        while frontier:
+            frontier = [w + (l,) for w in frontier for l in d.L if xlen(w) + len(l) <= xlen(bound)]
+            words.extend(frontier)
+        count = sum(xlen(a + lhs + b) <= xlen(bound) for lhs in rs.rules for a in words for b in words)
+        monkeypatch.setattr(criterion, "MAX_SPAN_PLACEMENTS", count)
+        criterion.bounded_span_elements(rs, bound)
+        monkeypatch.setattr(criterion, "MAX_SPAN_PLACEMENTS", count - 1)
+        with pytest.raises(ValueError, match=f"needs {count} placements"):
+            criterion.bounded_span_elements(rs, bound)
 
 
 def unpruned_membership(rs, element, bound):

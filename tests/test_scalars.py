@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: cyclotomic fields, orders, Gaussian binomials."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,30 @@ def test_ord_examples():
     assert ord_of(f.one() + f.one()) is None  # 2 has infinite order
     with pytest.raises(ZeroDivisionError):
         ord_of(f.zero())
+
+
+def loop_order(x):
+    """Reference: the least n >= 1 with x^n = 1, by repeated multiplication."""
+    acc, n = x, 1
+    while not acc.is_one():
+        acc, n = acc * x, n + 1
+    return n
+
+
+def test_prime_field_order_matches_the_multiplication_loop():
+    primes = [p for p in range(2, 102) if all(p % d for d in range(2, p))]
+    for p in primes:
+        f = PrimeField(p)
+        for v in range(1, p):
+            assert f.order(f.element(v)) == loop_order(f.element(v)), (p, v)
+
+
+def test_prime_field_order_is_fast_at_the_largest_prime():
+    f = PrimeField(999_999_937)  # the largest prime below MAX_PRIME
+    start = time.perf_counter()
+    assert ord_of(f.root(1)) == 999_999_936
+    assert ord_of(f.root(2)) == 499_999_968
+    assert time.perf_counter() - start < 1
 
 
 def test_root_of_unity_embedding():

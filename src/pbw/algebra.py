@@ -297,9 +297,6 @@ class Datum:
                 out.add_term((U + V, gmul(g, h)), self.twist(ca * cb, chi, g))
         return out
 
-    def mul_many(self, *polys):
-        return reduce(self.mul, polys)
-
     def q_commutator(self, a, b, q) -> NCPoly:
         """[a, b]_q = ab - q ba."""
         return self.mul(a, b) - self.mul(b, a).scale(q)

@@ -7,9 +7,11 @@ are expanded through their commutator polynomials), so it shares nothing
 with the rewriting engine.  It eliminates one coset block of the group,
 that of the subgroup generated by the relations' group parts, and scales
 that block's rank by the index; for Nichols-type data, whose relations have
-no group part, this divides the work by |G|.  It refuses data past a budget
-of MAX_ORACLE_COLUMNS columns or MAX_ORACLE_ROWS rows before building any
-row.
+no group part, this divides the work by |G|.  Within the block it builds
+the truncated ideal one total degree at a time, extending by one letter
+only the rows that enlarged the span.  It refuses data past a budget of
+MAX_ORACLE_COLUMNS columns or MAX_ORACLE_ROWS placements before building
+any row.
 """
 
 from __future__ import annotations
@@ -103,13 +105,17 @@ def span_contains(elements, target: NCPoly) -> bool:
 # Column budget of quotient_rank (words up to the truncation length times
 # |G|).  At margin 0 every preset has at most 5,100 columns (nichols_a1xa1
 # N1=4, N2=5) except b2_scaffold, with 2.7e9, and lifting_a2_1c, with
-# 524,224; lifting_a2_1b, with 4,599, already takes about a second.
+# 524,224; lifting_a2_1b, with 4,599, takes 0.25-0.3 s (Python 3.11, shared
+# 2-core x86 host).
 MAX_ORACLE_COLUMNS = 100_000
 
-# Row budget of quotient_rank, counted before any row is built.  Every call
-# in the test suites has at most 4,335 rows and lifting_a2_4b has 8,724;
-# tampered uq_sl2 N=5 (red_12 = 1 - g) at margin 2 has 23,695 within the
-# column budget, and took about 20 s.
+# Row budget of quotient_rank, counted before any row is built: the
+# placements lg*a*r*b*h within the block, an upper bound on the rows built,
+# since only the rows that enlarged the span are extended.  Every call in
+# the test suites has at most 4,335 placements and lifting_a2_4b has 8,724
+# (2,236 rows built); tampered uq_sl2 N=5 (red_12 = 1 - g) at margin 2 has
+# 23,695 within the column budget, and took about 20 s when every
+# placement was a row (about 1 s level by level).
 MAX_ORACLE_ROWS = 10_000
 
 
@@ -128,15 +134,6 @@ def ideal_generators_expanded(datum):
             lhs = datum.mul(lhs, base)
         gens.append(lhs - datum.expand_to_letters(datum.redhats[u]))
     return gens
-
-
-def _all_words(theta, max_len):
-    out = [()]
-    layer = [()]
-    for _ in range(max_len):
-        layer = [w + ((i,),) for w in layer for i in range(1, theta + 1)]
-        out.extend(layer)
-    return out
 
 
 def _subgroup(group, gens):
@@ -161,7 +158,7 @@ def quotient_rank(datum, margin=0) -> int:
     Requires a finite group.  The truncation length is the total nilpotency
     length plus the margin.  Raises ValueError when there would be more than
     MAX_ORACLE_COLUMNS columns (words up to that length times |G|) or more
-    than MAX_ORACLE_ROWS rows.
+    than MAX_ORACLE_ROWS placements lg*a*r*b*h.
 
     Only one coset block is eliminated.  Let H be the subgroup generated by
     the group parts of the ideal generators.  The row lg*a*r*b*h has its
@@ -170,6 +167,16 @@ def quotient_rank(datum, margin=0) -> int:
     the same rank and the rank is [G:H] times that of the block H.  When no
     relation has a group part, as for bosonized Nichols algebras, H is
     trivial and this saves a factor of |G|.
+
+    The block is built one total degree D = |a| + deg r + |b| at a time.
+    Level deg r starts with the seeds lg*r*h.  Up to a scalar, every row of
+    level D + 1 is x*p or p*x for a letter x and a row p of level D, and p
+    lies in the span of the rows of level at most D that enlarged it, so
+    only those are extended.  A row x*q of level D made by a left extension
+    is not extended on the right: (x*q)*y = x*(q*y), where q*y lies in the
+    span of the growing rows of levels up to D, and each of those is
+    extended on the left.  So each a*r*b is built at most once, as letters
+    added on the right and then on the left.
     """
     group = datum.group
     if not group.is_finite():
@@ -182,7 +189,7 @@ def quotient_rank(datum, margin=0) -> int:
         max_len += (n - 1) * len(u)
 
     order = group.order()
-    # ends[k]: the number of words of length <= k, the first ends[k] of words
+    # ends[k]: the number of words of length <= k
     ends = [1]
     for _ in range(max_len):
         if ends[-1] * order > MAX_ORACLE_COLUMNS:
@@ -197,7 +204,6 @@ def quotient_rank(datum, margin=0) -> int:
         )
 
     gens = [r for r in ideal_generators_expanded(datum) if not r.is_zero()]
-    words = _all_words(datum.theta, max_len)
     sub = _subgroup(group, {g for r in gens for _, g in r.terms})
 
     homogeneous = all(datum.char_degree(r) is not None for r in gens)
@@ -217,17 +223,33 @@ def quotient_rank(datum, margin=0) -> int:
         )
     # the h with lg*h in H, for each lg; elements() lists G in sorted order
     right_hs = {lg: sorted(group.mul(group.power(lg, -1), k) for k in sub) for lg in left_gs}
-    ech = Echelon()
+    # rows of total degree D, keyed as by poly_row, each with a flag: whether
+    # it may be extended on the right.  Rows grow by concatenation:
+    # x*(V g) = (xV) g and (V g)*x = chi_x(g) (Vx) g.
+    levels = [[] for _ in range(max_len + 1)]
     for r, deg in zip(gens, degs):
         if deg > max_len:
             continue
-        for a in words[:ends[max_len - deg]]:
-            pa = datum.monomial(a)
-            for lg in left_gs:
-                base = datum.mul(datum.group_like(lg), datum.mul(pa, r)) if lg != ident else datum.mul(pa, r)
-                for b in words[:ends[max_len - deg - len(a)]]:
-                    row = datum.mul(base, datum.monomial(b))
-                    keyed = [(*greatest_first(U), g, c) for (U, g), c in row.terms.items()]
-                    for h in right_hs[lg]:
-                        ech.insert({(k, U, group.mul(g, h)): c for k, U, g, c in keyed})
+        for lg in left_gs:
+            base = datum.mul(datum.group_like(lg), r) if lg != ident else r
+            for h in right_hs[lg]:
+                levels[deg].append(
+                    ({(*greatest_first(U), group.mul(g, h)): c for (U, g), c in base.terms.items()}, True)
+                )
+    letters = [((i,), datum.chi[i - 1]) for i in range(1, datum.theta + 1)]
+    twist = datum.twist
+    ech = Echelon()
+    for D in range(max_len + 1):
+        level, levels[D] = levels[D], None
+        for row, right in level:
+            if not ech.insert(row) or D == max_len:
+                continue
+            # only rows that grew the span are extended, and only seeds and
+            # right extensions on the right
+            for x, chi in letters:
+                levels[D + 1].append(({(n - 1, (x, *U), g): c for (n, U, g), c in row.items()}, False))
+                if right:
+                    levels[D + 1].append(
+                        ({(n - 1, (*U, x), g): twist(c, chi, g) for (n, U, g), c in row.items()}, True)
+                    )
     return ncols - order // len(sub) * ech.rank

@@ -88,6 +88,7 @@ class CycloField:
         # every root of unity in Q(zeta_m) is +/- a power of zeta_m
         self.torsion_bound = m if m % 2 == 0 else 2 * m
         self._root_cache = {}
+        self._root_index = None
         # fold[j] = integer coefficients of x^(degree + j) mod Phi_m
         d = self.degree
         fold = []
@@ -160,10 +161,56 @@ class CycloField:
             self._root_cache[k] = _make_cyclo(self, num, 1)
         return self._root_cache[k]
 
+    def root_multiple(self, x: Cyclo):
+        """(s, k) with x = s * zeta^k for a nonzero rational s, or None when x
+        is no such multiple.  The lookup table holds the integer vectors of
+        the m roots, each scaled so that its first nonzero entry is
+        positive; it is built once, on first use, one rotation per root."""
+        if self._root_index is None:
+            index = {}
+            d = self.degree
+            vec = (1,) + (0,) * (d - 1)
+            for k in range(self.m):
+                sign = 1 if next(n for n in vec if n) > 0 else -1
+                index.setdefault(vec if sign > 0 else tuple(-n for n in vec), (k, sign))
+                # times zeta: shift up, folding the top coefficient back
+                top = vec[-1]
+                vec = (0,) + vec[:-1]
+                if top:
+                    vec = tuple(v + top * f for v, f in zip(vec, self._fold[0]))
+            self._root_index = index
+        g = first = 0
+        for n in x.num:
+            if n:
+                first = first or n
+                g = math.gcd(g, n)
+        if not g:
+            return None
+        if first < 0:
+            g = -g
+        hit = self._root_index.get(tuple(n // g for n in x.num))
+        if hit is None:
+            return None
+        k, sign = hit
+        return Fraction(sign * g, x.den), k
+
     def order(self, x: Cyclo):
-        """Multiplicative order of x, or None when infinite."""
+        """Multiplicative order of x, or None when infinite.  A multiple
+        s * zeta^k is a root of unity iff s = +-1; -zeta^k is zeta^(k + m/2)
+        when m is even, and has twice the (odd) order of zeta^k when m is
+        odd."""
         if x.is_zero():
             raise ZeroDivisionError("not a unit")
+        hit = self.root_multiple(x)
+        if hit is not None:
+            s, k = hit
+            if abs(s) != 1:
+                return None
+            if s < 0:
+                if self.m % 2:
+                    return 2 * (self.m // math.gcd(self.m, k))
+                k += self.m // 2
+            return self.m // math.gcd(self.m, k)
         p = self.one()
         for n in range(1, self.torsion_bound + 1):
             p = p * x
@@ -312,11 +359,16 @@ class Cyclo:
         return result
 
     def inverse(self):
-        """Inverse via the extended Euclidean algorithm against Phi_m."""
+        """Inverse of s * zeta^k as s^-1 * zeta^-k; of any other element via
+        the extended Euclidean algorithm against Phi_m."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
             return self.field.from_rational(Fraction(self.den, self.num[0]))
+        hit = self.field.root_multiple(self)
+        if hit is not None:
+            s, k = hit
+            return self.field.root(-k) * self.field.from_rational(1 / s)
         # work in Q[x]: gcd(self, Phi_m) = 1 since Phi_m is irreducible
         r0 = [Fraction(c) for c in self.field.modulus]
         r1 = list(self.coeffs)

@@ -3,6 +3,7 @@ the derivation behind the bracket recursion, and datum validation."""
 
 import random
 from dataclasses import fields, replace
+from functools import reduce
 
 import pytest
 
@@ -202,11 +203,11 @@ def test_q_derivation_ternary_form():
     for _ in range(15):
         a, b1, b2, b3 = (random_poly(d, rng) for _ in range(4))
         q1, q2, q3 = (f.root(rng.randrange(12)) for _ in range(3))
-        left = d.q_commutator(a, d.mul_many(b1, b2, b3), q1 * q2 * q3)
+        left = d.q_commutator(a, reduce(d.mul, [b1, b2, b3]), q1 * q2 * q3)
         right = (
-            d.mul_many(d.q_commutator(a, b1, q1), b2, b3)
-            + d.mul_many(b1, d.q_commutator(a, b2, q2), b3).scale(q1)
-            + d.mul_many(b1, b2, d.q_commutator(a, b3, q3)).scale(q1 * q2)
+            reduce(d.mul, [d.q_commutator(a, b1, q1), b2, b3])
+            + reduce(d.mul, [b1, d.q_commutator(a, b2, q2), b3]).scale(q1)
+            + reduce(d.mul, [b1, b2, d.q_commutator(a, b3, q3)]).scale(q1 * q2)
         )
         assert left == right
 

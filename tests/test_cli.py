@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from functools import reduce
 
 import pytest
 
@@ -315,7 +316,7 @@ def test_expression_grammar():
     assert parse_expr("x1*x2 - x2*x1", d) == d.mul(x1, x2) - d.mul(x2, x1)
     assert parse_expr("[x1, x2]", d) == d.graded_commutator(x1, x2)
     assert parse_expr("[x1, x2]_2", d) == d.q_commutator(x1, x2, d.field.root(2))
-    assert parse_expr("x1^3", d) == d.mul_many(x1, x1, x1)
+    assert parse_expr("x1^3", d) == reduce(d.mul, [x1, x1, x1])
     assert parse_expr("g1^2", d) == d.group_like((2,))
     assert parse_expr("1/2 * x1", d) == x1.scale(d.field.from_rational("1/2"))
     assert parse_expr("z^2", d) == d.unit(d.field.root(2))

@@ -6,6 +6,7 @@ import math
 import random
 import time
 from dataclasses import replace
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -179,7 +180,7 @@ def letterwise_bracket_table(datum):
                 for i in range(1, len(U)):
                     tw = (tw + datum.q_exp(u1, U[i - 1])) % datum.field.unit_order
                     br = datum.q_commutator(x_u1, datum.letter(U[i]), datum.q_uv(u1, U[i]))
-                    piece = datum.mul_many(datum.monomial(U[:i]), br, datum.monomial(U[i + 1:]))
+                    piece = reduce(datum.mul, [datum.monomial(U[:i]), br, datum.monomial(U[i + 1:])])
                     out = out + piece.scale(c * datum.field.root(tw))
             else:
                 twist = datum.q_uv(u1, tail) * datum.chi_apply(datum.chi_word(u1), g)
@@ -650,7 +651,7 @@ def reference_quotient_rank(datum, margin=0):
             if len(a) + deg + len(b) > max_len:
                 continue
             for lg in [datum.group.identity()] if homogeneous else els:
-                row = datum.mul_many(datum.group_like(lg), datum.monomial(a), r, datum.monomial(b))
+                row = reduce(datum.mul, [datum.group_like(lg), datum.monomial(a), r, datum.monomial(b)])
                 for h in els:
                     ech.insert(poly_row(datum.mul(row, datum.group_like(h))))
     return len(words) * len(els) - ech.rank
@@ -673,9 +674,28 @@ def test_quotient_rank_matches_full_group_elimination(margin):
         ("radford with redhat_1 = g", radford_redhat_g()),
         ("radford N=3 with redhat_1 = x1 + g^3", replace(d, redhats={(1,): mixed})),
         ("tampered uq_sl2", tampered_uq_sl2()),
+        # two power relations each, so rows grow on both sides of two seeds
+        ("lifting_a1xa1 N=2", build_preset("lifting_a1xa1", N=2).datum),
+        ("nichols_a1xa1 2x3", build_preset("nichols_a1xa1", N1=2, N2=3).datum),
+        ("book N=3", build_preset("book", N=3).datum),
     ]
     for desc, d in cases:
         assert quotient_rank(d, margin=margin) == reference_quotient_rank(d, margin), desc
+
+
+def test_quotient_rank_extends_only_the_rows_that_grew_the_span(monkeypatch):
+    # building every row lg*a*r*b*h took 3,903 inserts on lifting_a2_1b
+    inserts = 0
+    insert = Echelon.insert
+
+    def counted(self, row):
+        nonlocal inserts
+        inserts += 1
+        return insert(self, row)
+
+    monkeypatch.setattr(Echelon, "insert", counted)
+    assert quotient_rank(build_preset("lifting_a2_1b").datum) == 243
+    assert inserts <= 2_000
 
 
 def test_quotient_rank_refuses_past_the_row_budget():

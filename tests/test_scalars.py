@@ -143,6 +143,26 @@ def test_prime_field_order_is_fast_at_the_largest_prime():
     assert time.perf_counter() - start < 1
 
 
+def test_cyclo_order_and_inverse_of_root_multiples():
+    # +-zeta^k are read off the root table; rational multiples of other
+    # magnitudes, and elements that are no multiple of a root, are not
+    # roots of unity
+    for m in range(1, 41):
+        f = CycloField(m)
+        others = [f.root(k) * f.from_rational(Fraction(3, 2)) for k in (0, 1)]
+        if f.degree > 1:
+            others.append(f.from_rational(2) + f.root(1))
+            others.append(f.element([Fraction(1, 3), -2] + [0] * (f.degree - 2)))
+        for x in others:
+            assert f.order(x) is None
+            assert (x * x.inverse()).is_one(), (m, x)
+        for k in range(m):
+            for sign in (1, -1):
+                x = f.root(k) * f.from_rational(sign)
+                assert f.order(x) == loop_order(x), (m, k, sign)
+                assert (x * x.inverse()).is_one(), (m, k, sign)
+
+
 def test_root_of_unity_embedding():
     f = CycloField(6)
     r = RootOfUnity(2, 6)

@@ -114,8 +114,7 @@ MAX_ORACLE_COLUMNS = 100_000
 # since only the rows that enlarged the span are extended.  Every call in
 # the test suites has at most 4,335 placements and lifting_a2_4b has 8,724
 # (2,236 rows built); tampered uq_sl2 N=5 (red_12 = 1 - g) at margin 2 has
-# 23,695 within the column budget, and took about 20 s when every
-# placement was a row (about 1 s level by level).
+# 23,695 within the column budget and is refused.
 MAX_ORACLE_ROWS = 10_000
 
 

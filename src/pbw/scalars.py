@@ -85,8 +85,6 @@ class CycloField:
         self.m = m
         self.modulus = cyclotomic_poly(m)
         self.degree = len(self.modulus) - 1
-        # every root of unity in Q(zeta_m) is +/- a power of zeta_m
-        self.torsion_bound = m if m % 2 == 0 else 2 * m
         self._root_cache = {}
         self._root_index = None
         # fold[j] = integer coefficients of x^(degree + j) mod Phi_m
@@ -195,28 +193,23 @@ class CycloField:
         return Fraction(sign * g, x.den), k
 
     def order(self, x: Cyclo):
-        """Multiplicative order of x, or None when infinite.  A multiple
-        s * zeta^k is a root of unity iff s = +-1; -zeta^k is zeta^(k + m/2)
-        when m is even, and has twice the (odd) order of zeta^k when m is
-        odd."""
+        """Multiplicative order of x, or None when infinite.  Every root of
+        unity in Q(zeta_m) is +-zeta^k, so x has finite order iff it is
+        s * zeta^k with s = +-1; -zeta^k is zeta^(k + m/2) when m is even,
+        and has twice the (odd) order of zeta^k when m is odd."""
         if x.is_zero():
             raise ZeroDivisionError("not a unit")
         hit = self.root_multiple(x)
-        if hit is not None:
-            s, k = hit
-            if abs(s) != 1:
-                return None
-            if s < 0:
-                if self.m % 2:
-                    return 2 * (self.m // math.gcd(self.m, k))
-                k += self.m // 2
-            return self.m // math.gcd(self.m, k)
-        p = self.one()
-        for n in range(1, self.torsion_bound + 1):
-            p = p * x
-            if p == self.one():
-                return n
-        return None
+        if hit is None:
+            return None
+        s, k = hit
+        if abs(s) != 1:
+            return None
+        if s < 0:
+            if self.m % 2:
+                return 2 * (self.m // math.gcd(self.m, k))
+            k += self.m // 2
+        return self.m // math.gcd(self.m, k)
 
 
 def _make_cyclo(field, num, den):

@@ -684,7 +684,8 @@ def test_quotient_rank_matches_full_group_elimination(margin):
 
 
 def test_quotient_rank_extends_only_the_rows_that_grew_the_span(monkeypatch):
-    # building every row lg*a*r*b*h took 3,903 inserts on lifting_a2_1b
+    # lifting_a2_1b has 3,903 placements lg*a*r*b*h; rows that did not
+    # enlarge the span are not extended, so far fewer are inserted
     inserts = 0
     insert = Echelon.insert
 
@@ -700,7 +701,7 @@ def test_quotient_rank_extends_only_the_rows_that_grew_the_span(monkeypatch):
 
 def test_quotient_rank_refuses_past_the_row_budget():
     # tampered uq_sl2 N=5 at margin 2: 10,235 columns, inside the column
-    # budget, but 23,695 rows, which took about 20 s to eliminate
+    # budget, but 23,695 placements, past the row budget
     d = tampered_uq_sl2(N=5)
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match=f"more than {MAX_ORACLE_ROWS} rows"):

@@ -239,6 +239,18 @@ def in_bounded_ideal(rs: RuleSystem, a: NCPoly, bound):
 # reports and the check itself
 # ---------------------------------------------------------------------------
 
+def condition_id(kind, words):
+    """The printed name of a condition, such as jacobi(1<12<2)."""
+    ws = [format_word(w) for w in words]
+    if kind == "jacobi":
+        return f"jacobi({'<'.join(ws)})"
+    if kind == "leibniz_le":
+        return f"leibniz({ws[0]};{ws[0]}<{ws[1]})"
+    if kind == "leibniz_self":
+        return f"leibniz({ws[0]};{ws[0]}={ws[0]})"
+    return f"leibniz({ws[1]};{ws[0]}<{ws[1]})"
+
+
 @dataclass
 class ConditionReport:
     kind: str           # jacobi | leibniz_le | leibniz_self | leibniz_gt
@@ -254,14 +266,7 @@ class ConditionReport:
 
     @property
     def condition_id(self):
-        ws = [format_word(w) for w in self.words]
-        if self.kind == "jacobi":
-            return f"jacobi({'<'.join(ws)})"
-        if self.kind == "leibniz_le":
-            return f"leibniz({ws[0]};{ws[0]}<{ws[1]})"
-        if self.kind == "leibniz_self":
-            return f"leibniz({ws[0]};{ws[0]}={ws[0]})"
-        return f"leibniz({ws[1]};{ws[0]}<{ws[1]})"
+        return condition_id(self.kind, self.words)
 
     def line(self):
         status = "pass" if self.passed else "FAIL"
@@ -330,14 +335,19 @@ def _conditions(datum, table, mode):
 
 def check_pbw(datum, mode="full") -> PBWReport:
     """Evaluate the q-Jacobi and restricted q-Leibniz conditions; each test
-    element must lie in the span of rule elements placed below its bound."""
+    element must lie in the span of rule elements placed below its bound.
+    A span test refused past MAX_SPAN_PLACEMENTS raises ValueError, with the
+    message prefixed by the condition's id."""
     if mode not in ("full", "reduced"):
         raise ValueError("mode must be 'full' or 'reduced'")
     table = bracket_table(datum)
     rules = build_rules(datum, table)
     conditions = []
     for kind, words, element, bound in _conditions(datum, table, mode):
-        ok, residue, fb = in_bounded_ideal(rules, element, bound)
+        try:
+            ok, residue, fb = in_bounded_ideal(rules, element, bound)
+        except ValueError as e:
+            raise ValueError(f"{condition_id(kind, words)}: {e}") from e
         conditions.append(ConditionReport(kind, words, ok, element, residue, fb))
     return PBWReport(mode, conditions, table)
 

@@ -9,7 +9,8 @@ that of the subgroup generated by the relations' group parts, and scales
 that block's rank by the index; for Nichols-type data, whose relations have
 no group part, this divides the work by |G|.  Within the block it builds
 the truncated ideal one total degree at a time, extending by one letter
-only the rows that enlarged the span.  It refuses data past a budget of
+only the rows that enlarged the span, over integer column keys that sort
+as poly_row's labels do (ColumnKeys).  It refuses data past a budget of
 MAX_ORACLE_COLUMNS columns or MAX_ORACLE_ROWS placements before building
 any row.
 """
@@ -22,7 +23,11 @@ from .words import greatest_first, xlen
 
 class Echelon:
     """Incremental row echelon over an exact field; rows are sparse dicts
-    keyed by orderable column labels, and the least label leads a row."""
+    keyed by orderable column labels, and the least label leads a row.
+
+    Unit leads and multipliers take no scalar work: a reduced row whose lead
+    is one becomes a pivot as it is, and a reduction step by one subtracts
+    the pivot's entries without multiplying them."""
 
     def __init__(self):
         self.pivots = {}
@@ -35,9 +40,12 @@ class Echelon:
             if piv is None:
                 return row, lead
             c = row[lead]
+            unit = c.is_one()
             for k, v in piv.items():
+                if not unit:
+                    v = c * v
                 cur = row.get(k)
-                s = (cur - c * v) if cur is not None else -(c * v)
+                s = (cur - v) if cur is not None else -v
                 if s.is_zero():
                     row.pop(k, None)
                 else:
@@ -49,8 +57,11 @@ class Echelon:
         red, lead = self._reduce(row)
         if red is None:
             return False
-        inv = red[lead].inverse()
-        self.pivots[lead] = {k: v * inv for k, v in red.items()}
+        c = red[lead]
+        if not c.is_one():
+            inv = c.inverse()
+            red = {k: v * inv for k, v in red.items()}
+        self.pivots[lead] = red
         return True
 
     def contains(self, row) -> bool:
@@ -105,8 +116,8 @@ def span_contains(elements, target: NCPoly) -> bool:
 # Column budget of quotient_rank (words up to the truncation length times
 # |G|).  At margin 0 every preset has at most 5,100 columns (nichols_a1xa1
 # N1=4, N2=5) except b2_scaffold, with 2.7e9, and lifting_a2_1c, with
-# 524,224; lifting_a2_1b, with 4,599, takes 0.25-0.3 s (Python 3.11, shared
-# 2-core x86 host).
+# 524,224; lifting_a2_1b, with 4,599, takes 0.15-0.16 s and lifting_a2_4b
+# 0.03 s (Python 3.11, shared 2-core x86 host, best of 5).
 MAX_ORACLE_COLUMNS = 100_000
 
 # Row budget of quotient_rank, counted before any row is built: the
@@ -147,6 +158,55 @@ def _subgroup(group, gens):
                 sub.add(y)
                 todo.append(y)
     return sub
+
+
+class ColumnKeys:
+    """Integer column keys of quotient_rank, ordered as the labels
+    (*greatest_first(U), g) for words U over the original letters of length
+    at most max_len and the group elements in sorted order:
+
+        key(U, g) = ((max_len - len U) * theta^max_len + code(U)) * |G| + index(g)
+
+    where code(U) reads the letters x - 1 of U as base-theta digits.  Words
+    of one length share a block of theta^max_len * |G| keys, longer words
+    first, and within a block code and index sort as U and g do.  Every key
+    is below (max_len + 1) * theta^max_len * |G|, so under the column budget
+    it is below (max_len + 1) * MAX_ORACLE_COLUMNS."""
+
+    def __init__(self, theta, order, max_len):
+        self.theta, self.order, self.max_len = theta, order, max_len
+        self.top = theta**max_len
+        self.block = self.top * order
+        # left[x - 1][max_len - len U]: the key shift of U g -> xU g, which
+        # shortens the length gap by one and adds (x - 1) * theta^len U
+        self.left = [
+            [((x - 1) * theta ** (max_len - gap) - self.top) * order for gap in range(max_len + 1)]
+            for x in range(1, theta + 1)
+        ]
+
+    def key(self, U, index):
+        code = 0
+        for (x,) in U:
+            code = code * self.theta + x - 1
+        return ((self.max_len - len(U)) * self.top + code) * self.order + index
+
+    def extend_left(self, row, x):
+        """x * row, for a row of words shorter than max_len."""
+        shift, block = self.left[x - 1], self.block
+        return {k + shift[k // block]: c for k, c in row.items()}
+
+    def extend_right(self, row, x, twist):
+        """row * x, for a row of words shorter than max_len: U g -> Ux g
+        multiplies code by theta and adds x - 1, and the coefficient is
+        multiplied by twist[index(g)], or kept when that is None."""
+        top, theta, order = self.top, self.theta, self.order
+        out = {}
+        for k, c in row.items():
+            q, i = divmod(k, order)
+            gap, code = divmod(q, top)
+            t = twist[i]
+            out[((gap - 1) * top + code * theta + x - 1) * order + i] = c if t is None else c * t
+        return out
 
 
 def quotient_rank(datum, margin=0) -> int:
@@ -221,10 +281,13 @@ def quotient_rank(datum, margin=0) -> int:
             f"({nrows} at truncation length {max_len})"
         )
     # the h with lg*h in H, for each lg; elements() lists G in sorted order
+    elements = group.elements()
+    index = {g: i for i, g in enumerate(elements)}
     right_hs = {lg: sorted(group.mul(group.power(lg, -1), k) for k in sub) for lg in left_gs}
-    # rows of total degree D, keyed as by poly_row, each with a flag: whether
+    # rows of total degree D, keyed by ColumnKeys, each with a flag: whether
     # it may be extended on the right.  Rows grow by concatenation:
     # x*(V g) = (xV) g and (V g)*x = chi_x(g) (Vx) g.
+    cols = ColumnKeys(datum.theta, order, max_len)
     levels = [[] for _ in range(max_len + 1)]
     for r, deg in zip(gens, degs):
         if deg > max_len:
@@ -233,10 +296,15 @@ def quotient_rank(datum, margin=0) -> int:
             base = datum.mul(datum.group_like(lg), r) if lg != ident else r
             for h in right_hs[lg]:
                 levels[deg].append(
-                    ({(*greatest_first(U), group.mul(g, h)): c for (U, g), c in base.terms.items()}, True)
+                    ({cols.key(U, index[group.mul(g, h)]): c for (U, g), c in base.terms.items()}, True)
                 )
-    letters = [((i,), datum.chi[i - 1]) for i in range(1, datum.theta + 1)]
-    twist = datum.twist
+    # twists[x - 1][index(g)]: chi_x(g), or None when it is 1
+    field = datum.field
+    twists = []
+    for chi in datum.chi:
+        exps = (datum.chi_apply_exp(chi, g) for g in elements)
+        twists.append([field.root(k) if k else None for k in exps])
+    letters = range(1, datum.theta + 1)
     ech = Echelon()
     for D in range(max_len + 1):
         level, levels[D] = levels[D], None
@@ -245,10 +313,8 @@ def quotient_rank(datum, margin=0) -> int:
                 continue
             # only rows that grew the span are extended, and only seeds and
             # right extensions on the right
-            for x, chi in letters:
-                levels[D + 1].append(({(n - 1, (x, *U), g): c for (n, U, g), c in row.items()}, False))
+            for x in letters:
+                levels[D + 1].append((cols.extend_left(row, x), False))
                 if right:
-                    levels[D + 1].append(
-                        ({(n - 1, (*U, x), g): twist(c, chi, g) for (n, U, g), c in row.items()}, True)
-                    )
+                    levels[D + 1].append((cols.extend_right(row, x, twists[x - 1]), True))
     return ncols - order // len(sub) * ech.rank

@@ -352,16 +352,23 @@ class Cyclo:
         return result
 
     def inverse(self):
-        """Inverse of s * zeta^k as s^-1 * zeta^-k; of any other element via
-        the extended Euclidean algorithm against Phi_m."""
+        """Inverse of n/d as d/n and of s * zeta^k as s^-1 * zeta^-k, with no
+        division; of any other element via the extended Euclidean algorithm
+        against Phi_m."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        field = self.field
         if self.is_rational():
-            return self.field.from_rational(Fraction(self.den, self.num[0]))
-        hit = self.field.root_multiple(self)
+            n = self.num[0]
+            d = -self.den if n < 0 else self.den
+            return Cyclo(field, (d,) + (0,) * (field.degree - 1), abs(n))
+        hit = field.root_multiple(self)
         if hit is not None:
             s, k = hit
-            return self.field.root(-k) * self.field.from_rational(1 / s)
+            # root(-k) has coprime integer entries (it is a unit of Z[zeta]),
+            # so scaling it by the reduced fraction 1/s stays reduced
+            d = -s.denominator if s < 0 else s.denominator
+            return Cyclo(field, tuple(d * n for n in field.root(-k).num), abs(s.numerator))
         # work in Q[x]: gcd(self, Phi_m) = 1 since Phi_m is irreducible
         r0 = [Fraction(c) for c in self.field.modulus]
         r1 = list(self.coeffs)

@@ -207,7 +207,7 @@ def test_check_refuses_a_span_test_past_the_placement_limit(capsys, tmp_path):
         assert time.perf_counter() - t0 < 5.0
         assert code == 2 and out == ""
         assert err == (
-            "error: the span test below a bound of 16 letters needs 15606751 "
+            "error: leibniz(112;112<2): the span test below a bound of 16 letters needs 15606751 "
             f"placements, more than {criterion.MAX_SPAN_PLACEMENTS}\n"
         )
 

@@ -6,6 +6,7 @@ import math
 import random
 import time
 from dataclasses import replace
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -29,6 +30,7 @@ from pbw.criterion import (
 from pbw.oracle import (
     MAX_ORACLE_COLUMNS,
     MAX_ORACLE_ROWS,
+    ColumnKeys,
     Echelon,
     ideal_generators_expanded,
     poly_row,
@@ -38,7 +40,8 @@ from pbw.oracle import (
 from pbw.presets import PRESET_NAMES, build_preset
 from pbw.rewrite import build_rules, dimension, normal_form, reduce_bounded
 from pbw.scalars import CycloField, PrimeField, format_scalar
-from pbw.words import prec_cmp, shirshov_decompose, xlen
+from pbw.datumio import datum_from_dict, datum_to_dict
+from pbw.words import greatest_first, prec_cmp, shirshov_decompose, xlen
 
 
 def rank2_scaffold(m, q11, q12, q21, q22, heights=None):
@@ -605,6 +608,130 @@ def test_linked_component_elimination_follows_a_chain():
     assert span_contains([apart] + chain, target)
     assert not span_contains([apart, chain[0], chain[2]], target)
     assert span_contains([apart] + chain, target + apart)  # two linked components
+
+
+class PlainEchelon:
+    """Row echelon that always multiplies by the lead and normalizes each
+    pivot, the reference for Echelon's unit fast paths."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def _reduce(self, row):
+        row = dict(row)
+        while row:
+            lead = min(row)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                return row, lead
+            c = row[lead]
+            for k, v in piv.items():
+                s = row.get(k, c.field.zero()) - c * v
+                if s.is_zero():
+                    row.pop(k, None)
+                else:
+                    row[k] = s
+        return None, None
+
+    def insert(self, row):
+        red, lead = self._reduce(row)
+        if red is None:
+            return False
+        inv = red[lead].inverse()
+        self.pivots[lead] = {k: v * inv for k, v in red.items()}
+        return True
+
+    def contains(self, row):
+        return self._reduce(row)[0] is None
+
+
+def _random_scalar(rng, field):
+    """1, -1, a rational, +-zeta^k or a general element, each as likely."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return field.one()
+    if kind == 1:
+        return -field.one()
+    if kind == 2:
+        return field.from_rational(Fraction(rng.choice((2, -3, 5)), rng.choice((1, 2, 3))))
+    if kind == 3:
+        return field.root(rng.randrange(field.unit_order)) * field.from_rational(rng.choice((1, -1)))
+    if isinstance(field, PrimeField):
+        return field.element(rng.randrange(2, field.p - 1))
+    return field.from_rational(Fraction(1, 3)) + field.root(1) * field.from_rational(2)
+
+
+@pytest.mark.parametrize("field", [CycloField(1), CycloField(12), PrimeField(7)], ids=repr)
+def test_unit_fast_paths_agree_with_plain_elimination(field):
+    # rows are random over 8 columns, plus combinations of earlier rows so
+    # that reductions run to zero; unit leads and multipliers skip the
+    # scalar work, which must change no pivot, rank or membership
+    rng = random.Random(12)
+    for _ in range(60):
+        ech, ref = Echelon(), PlainEchelon()
+        rows = []
+        for _ in range(rng.randrange(1, 12)):
+            if rows and rng.random() < 0.4:
+                row = {}
+                for other in rng.sample(rows, min(len(rows), 2)):
+                    c = _random_scalar(rng, field)
+                    for k, v in other.items():
+                        row[k] = row.get(k, field.zero()) + c * v
+                row = {k: v for k, v in row.items() if not v.is_zero()}
+            else:
+                cols = rng.sample(range(8), rng.randrange(1, 5))
+                row = {k: _random_scalar(rng, field) for k in cols}
+            if row:
+                rows.append(row)
+                assert ech.insert(row) == ref.insert(row)
+        assert ech.rank == len(ref.pivots)
+        assert ech.pivots == ref.pivots
+        for row in rows + [{k: _random_scalar(rng, field) for k in rng.sample(range(8), 3)}]:
+            assert ech.contains(row) == ref.contains(row)
+
+
+def test_column_keys_sort_as_the_labels_and_extend_by_arithmetic():
+    theta, max_len = 3, 4
+    group = GroupSpec((2, 3))
+    elements = group.elements()
+    cols = ColumnKeys(theta, len(elements), max_len)
+    words = [
+        tuple((x,) for x in w)
+        for n in range(max_len + 1)
+        for w in itertools.product(range(1, theta + 1), repeat=n)
+    ]
+    columns = [(U, i) for U in words for i in range(len(elements))]
+    by_label = sorted(columns, key=lambda c: (*greatest_first(c[0]), elements[c[1]]))
+    by_key = sorted(columns, key=lambda c: cols.key(*c))
+    assert by_key == by_label
+    keys = [cols.key(*c) for c in columns]
+    assert len(set(keys)) == len(columns)
+    assert max(keys) < (max_len + 1) * theta**max_len * len(elements)
+    # the coefficient is twisted by the entry for g on the right only
+    twist = [None, 2, 3, 5, 7, 11]
+    for U, i in columns:
+        if len(U) == max_len:
+            continue
+        for x in range(1, theta + 1):
+            assert cols.extend_left({cols.key(U, i): 1}, x) == {cols.key(((x,),) + U, i): 1}
+            assert cols.extend_right({cols.key(U, i): 1}, x, twist) == {
+                cols.key(U + ((x,),), i): twist[i] or 1
+            }
+
+
+@pytest.mark.parametrize("name", ["nichols_a1xa1", "uq_sl2", "lifting_a2_1a"])
+def test_quotient_rank_over_a_prime_field(name):
+    # a preset over Q(zeta_m), m | 6, re-fielded to F_7, whose distinguished
+    # root has order 6: the characters' root exponents scale by 6 / m
+    raw = datum_to_dict(build_preset(name).datum)
+    scale = 6 // raw["field"]["cyclotomic"]
+    raw["field"] = {"prime": 7}
+    raw["chi"] = [[scale * e for e in chi] for chi in raw["chi"]]
+    d = datum_from_dict(raw)
+    assert d.validate() == [] and check_pbw(d).passed
+    count = dimension(d)
+    for margin in (0, 2):
+        assert quotient_rank(d, margin=margin) == count == reference_quotient_rank(d, margin), margin
 
 
 def radford_redhat_g():

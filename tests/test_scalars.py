@@ -163,6 +163,20 @@ def test_cyclo_order_and_inverse_of_root_multiples():
                 assert (x * x.inverse()).is_one(), (m, k, sign)
 
 
+def test_cyclo_inverse_of_rationals_and_rational_multiples_of_roots():
+    # both are inverted with no division; the result must be the inverse and
+    # in the reduced form that equality compares
+    scales = [Fraction(n, d) for n, d in ((1, 1), (-1, 1), (3, 2), (-2, 5), (7, 1), (-1, 6), (12, 35))]
+    for m in range(1, 25):
+        f = CycloField(m)
+        xs = [f.from_rational(s) for s in scales]
+        xs += [f.root(k) * f.from_rational(s) for k in range(m) for s in scales]
+        for x in xs:
+            inv = x.inverse()
+            assert (inv * x).is_one(), (m, x)
+            assert inv == f.element(inv.coeffs), (m, x)
+
+
 def test_root_of_unity_embedding():
     f = CycloField(6)
     r = RootOfUnity(2, 6)

@@ -255,9 +255,10 @@ class Datum:
         return self.field.root(self.chi_apply_exp(chi, gelem))
 
     def twist(self, c, chi, gelem):
-        """c * chi(gelem), with no multiplication when chi(gelem) = 1."""
+        """c * chi(gelem) as a rotation by the root exponent, with no
+        multiplication when chi(gelem) = 1."""
         k = self.chi_apply_exp(chi, gelem)
-        return c * self.field.root(k) if k else c
+        return c.times_root(k) if k else c
 
     def chi_eq(self, a, b) -> bool:
         """Character equality as functions on the group (value per generator)."""
@@ -288,13 +289,19 @@ class Datum:
     # -- smash-product multiplication -----------------------------------
 
     def mul(self, a: NCPoly, b: NCPoly) -> NCPoly:
-        """(U g)(V h) = chi_V(g) (UV)(gh), term pair by term pair."""
+        """(U g)(V h) = chi_V(g) (UV)(gh), term pair by term pair.  The right
+        terms are twisted once per distinct left group element g, into rows
+        (V, gh, chi_V(g) cb), so each term pair costs one scalar product."""
         gmul = self.group.mul
         right = [(V, h, cb, self.word_chi(V)) for (V, h), cb in b.terms.items()]
+        twisted = {}
         out = NCPoly()
         for (U, g), ca in a.terms.items():
-            for V, h, cb, chi in right:
-                out.add_term((U + V, gmul(g, h)), self.twist(ca * cb, chi, g))
+            row = twisted.get(g)
+            if row is None:
+                row = twisted[g] = [(V, gmul(g, h), self.twist(cb, chi, g)) for V, h, cb, chi in right]
+            for V, gh, cb in row:
+                out.add_term((U + V, gh), ca * cb)
         return out
 
     def q_commutator(self, a, b, q) -> NCPoly:

@@ -183,20 +183,33 @@ def bounded_span_elements(rs: RuleSystem, bound, degree=None):
         frontier = [(w + (l,), n + len(l)) for w, n in frontier for l in letters if n + len(l) <= lb]
         all_words.extend(frontier)
     fits = [[t for t in all_words if t[1] <= k] for k in range(lb + 1)]
+    if degree is not None:
+        # the degree of a*lhs*b is the sum of the three, compared mod
+        # unit_order; each context word's degree is its prefix's plus one
+        # letter's (all_words lists every prefix before its extensions)
+        m = datum.field.unit_order
+        letter_chi = {l: datum.word_chi((l,)) for l in letters}
+        chi = {(): datum.word_chi(())}
+        for w, _n in all_words[1:]:
+            chi[w] = tuple(x + y for x, y in zip(chi[w[:-1]], letter_chi[w[-1]]))
 
     out = []
     for lhs in rs.rules:
         ll = xlen(lhs)
         if ll > lb:
             continue
+        if degree is not None:
+            rest = [z - y for y, z in zip(datum.word_chi(lhs), degree)]
         for a, la in fits[lb - ll]:
+            if degree is not None:
+                need = [(r - x) % m for x, r in zip(chi[a], rest)]
             for b, lb_ in fits[lb - ll - la]:
                 U = a + lhs + b
                 # U precedes the bound: fewer letters, or as many and
                 # lexicographically bigger
                 if la + ll + lb_ == lb and not U > bound:
                     continue
-                if degree is not None and not datum.chi_eq(datum.word_chi(U), degree):
+                if degree is not None and any((x - n) % m for x, n in zip(chi[b], need)):
                     continue
                 placed = datum.monomial(U) - rs.rewrite_at(U, identity, (len(a), len(a) + len(lhs)))
                 terms = [(V, coset(g), c) for (V, g), c in placed.terms.items()]

@@ -31,6 +31,10 @@ class RuleSystem:
         self.rules = rules              # left-hand side word -> NCPoly
         # letter u -> (u,) * N_u, for the power rules present
         self._powers = {lhs[0]: lhs for lhs in rules if _is_power(lhs)}
+        # (lhs, character of the right context mod unit_order) -> the rows
+        # (V, h, chi(h) c) of the twisted right-hand side; at most one entry
+        # per rule and character value, whatever the input
+        self._twisted = {}
 
     def find_site(self, U, bound=None):
         """Leftmost reducible site (i, cut) in the word U, power rules first
@@ -51,14 +55,19 @@ class RuleSystem:
         side; the rhs group letters commute past the right context with
         character twists."""
         i, cut = site
-        rhs = self.rules[U[i:cut]]
         d = self.datum
-        left, right = U[:i], U[cut:]
-        chi_right = d.word_chi(right)
-        out = NCPoly()
-        for (V, h), c in rhs.terms.items():
-            out.add_term((left + V + right, d.group.mul(h, g)), d.twist(c, chi_right, h))
-        return out
+        lhs, left, right = U[i:cut], U[:i], U[cut:]
+        m = d.field.unit_order
+        key = (lhs, tuple(k % m for k in d.word_chi(right)))
+        rows = self._twisted.get(key)
+        if rows is None:
+            chi_right = key[1]
+            rows = self._twisted[key] = [
+                (V, h, d.twist(c, chi_right, h)) for (V, h), c in self.rules[lhs].terms.items()
+            ]
+        # the rows have distinct (V, h), so the products are distinct monomials
+        gmul = d.group.mul
+        return NCPoly({(left + V + right, gmul(h, g)): c for V, h, c in rows})
 
 
 def _is_power(lhs):
@@ -98,12 +107,17 @@ def _reduce(rs: RuleSystem, a: NCPoly, bound, max_letters=None) -> NCPoly:
     terms = work.terms
     # heap entries (greatest_first(U), g, site): the least key is the
     # greatest reducible monomial; the group part breaks ties between equal
-    # words, which fixes the term order in which the CLI prints the result
+    # words, which fixes the term order in which the CLI prints the result.
+    # Each word's key is computed once per reduction.
+    keys = {}
     heap = []
     for U, g in terms:
         site = rs.find_site(U, bound)
         if site is not None:
-            heap.append((greatest_first(U), g, site))
+            key = keys.get(U)
+            if key is None:
+                key = keys[U] = greatest_first(U)
+            heap.append((key, g, site))
     heapq.heapify(heap)
     letters = 0
     while heap:
@@ -115,10 +129,23 @@ def _reduce(rs: RuleSystem, a: NCPoly, bound, max_letters=None) -> NCPoly:
         if max_letters is not None and letters > max_letters:
             raise ValueError(f"normal form rewrites more than {max_letters} letters")
         for m2, c2 in rs.rewrite_at(U, g, site).terms.items():
-            work.add_term(m2, c * c2)
-            site2 = rs.find_site(m2[0], bound)
+            # NCPoly.add_term, inlined; c * c2 is a product of nonzero scalars
+            cur = terms.get(m2)
+            if cur is None:
+                terms[m2] = c * c2
+            else:
+                s = cur + c * c2
+                if s.is_zero():
+                    del terms[m2]
+                else:
+                    terms[m2] = s
+            V = m2[0]
+            site2 = rs.find_site(V, bound)
             if site2 is not None:
-                heapq.heappush(heap, (greatest_first(m2[0]), m2[1], site2))
+                key = keys.get(V)
+                if key is None:
+                    key = keys[V] = greatest_first(V)
+                heapq.heappush(heap, (key, m2[1], site2))
     return work
 
 

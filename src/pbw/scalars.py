@@ -87,6 +87,7 @@ class CycloField:
         self.degree = len(self.modulus) - 1
         self._root_cache = {}
         self._root_index = None
+        self._powers = None
         # fold[j] = integer coefficients of x^(degree + j) mod Phi_m
         d = self.degree
         fold = []
@@ -141,7 +142,7 @@ class CycloField:
         return Cyclo(self, (0,) * self.degree, 1)
 
     def one(self) -> Cyclo:
-        return Cyclo(self, (1,) + (0,) * (self.degree - 1), 1)
+        return Cyclo(self, (1,) + (0,) * (self.degree - 1), 1, 0)
 
     def from_rational(self, r) -> Cyclo:
         r = Fraction(r)
@@ -149,33 +150,47 @@ class CycloField:
         return Cyclo(self, tuple(num), r.denominator)
 
     def root(self, k: int) -> Cyclo:
-        """zeta_m^k as a field element."""
+        """zeta_m^k as a field element, marked with its exponent k."""
         k %= self.m
-        if k not in self._root_cache:
+        x = self._root_cache.get(k)
+        if x is None:
             num = [0] * k + [1]
             if len(num) > self.degree:
                 num = self._reduce_int(num)
             num += [0] * (self.degree - len(num))
-            self._root_cache[k] = _make_cyclo(self, num, 1)
-        return self._root_cache[k]
+            x = self._root_cache[k] = Cyclo(self, tuple(num), 1, k)
+        return x
+
+    def power_rows(self):
+        """The m powers x^j mod Phi_m, j = 0..m-1, each as the sparse row of
+        its nonzero (index, integer coefficient) pairs; built once, on first
+        use, one rotation per power."""
+        if self._powers is None:
+            d = self.degree
+            rows, vec = [], (1,) + (0,) * (d - 1)
+            for _ in range(self.m):
+                rows.append(tuple((i, n) for i, n in enumerate(vec) if n))
+                # times x: shift up, folding the top coefficient back
+                top = vec[-1]
+                vec = (0,) + vec[:-1]
+                if top:
+                    vec = tuple(v + top * f for v, f in zip(vec, self._fold[0]))
+            self._powers = tuple(rows)
+        return self._powers
 
     def root_multiple(self, x: Cyclo):
         """(s, k) with x = s * zeta^k for a nonzero rational s, or None when x
         is no such multiple.  The lookup table holds the integer vectors of
         the m roots, each scaled so that its first nonzero entry is
-        positive; it is built once, on first use, one rotation per root."""
+        positive; it is built once, on first use, from the power rows."""
         if self._root_index is None:
             index = {}
-            d = self.degree
-            vec = (1,) + (0,) * (d - 1)
-            for k in range(self.m):
-                sign = 1 if next(n for n in vec if n) > 0 else -1
-                index.setdefault(vec if sign > 0 else tuple(-n for n in vec), (k, sign))
-                # times zeta: shift up, folding the top coefficient back
-                top = vec[-1]
-                vec = (0,) + vec[:-1]
-                if top:
-                    vec = tuple(v + top * f for v, f in zip(vec, self._fold[0]))
+            for k, row in enumerate(self.power_rows()):
+                sign = 1 if row[0][1] > 0 else -1
+                vec = [0] * self.degree
+                for i, n in row:
+                    vec[i] = sign * n
+                index.setdefault(tuple(vec), (k, sign))
             self._root_index = index
         g = first = 0
         for n in x.num:
@@ -232,14 +247,20 @@ def _make_cyclo(field, num, den):
 
 class Cyclo:
     """Element of a CycloField: integer coefficient vector over a positive
-    common denominator, fully reduced, so equality is componentwise."""
+    common denominator, fully reduced, so equality is componentwise.
 
-    __slots__ = ("field", "num", "den")
+    root_exp is k when the element is known to be exactly zeta^k, and None
+    otherwise.  Only exact operations set it: `CycloField.root` and `one`,
+    a rotation of a marked element and the product of two marked elements.
+    Equality and hashing ignore it."""
 
-    def __init__(self, field, num, den):
+    __slots__ = ("field", "num", "den", "root_exp")
+
+    def __init__(self, field, num, den, root_exp=None):
         self.field = field
         self.num = num
         self.den = den
+        self.root_exp = root_exp
 
     @property
     def coeffs(self):
@@ -302,8 +323,32 @@ class Cyclo:
     def __neg__(self):
         return Cyclo(self.field, tuple(-a for a in self.num), self.den)
 
+    def times_root(self, k: int):
+        """self * zeta^k as a rotation: x^i goes to the power row of x^(i+k),
+        so the cost is the entries of self times the row lengths, not a
+        degree x degree product.  zeta^k is a unit of Z[zeta], so the integer
+        vector keeps its content and the denominator stays reduced."""
+        field = self.field
+        if self.root_exp is not None:
+            return field.root(self.root_exp + k)
+        m = field.m
+        k %= m
+        if not k:
+            return self
+        rows = field._powers or field.power_rows()
+        out = [0] * field.degree
+        for i, n in enumerate(self.num):
+            if n:
+                for j, c in rows[(i + k) % m]:
+                    out[j] += n * c
+        return Cyclo(field, tuple(out), self.den)
+
     def __mul__(self, other):
         self._check(other)
+        if other.root_exp is not None:
+            return self.times_root(other.root_exp)
+        if self.root_exp is not None:
+            return other.times_root(self.root_exp)
         a, b = self.num, other.num
         den = self.den * other.den
         # fast paths: rational factors are by far the most common case
@@ -522,6 +567,10 @@ class Fp:
     def __pow__(self, n):
         return Fp(self.field, pow(self.value, n, self.field.p))
 
+    def times_root(self, k: int):
+        """self * zeta^k for the field's distinguished root."""
+        return self * self.field.root(k)
+
     def inverse(self):
         if self.value == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -701,9 +750,11 @@ def format_scalar(x) -> str:
     if isinstance(x, Fp):
         return str(x.value)
     parts = []
-    for i, c in enumerate(x.coeffs):
-        if c == 0:
+    den = x.den
+    for i, n in enumerate(x.num):
+        if not n:
             continue
+        c = n if den == 1 else Fraction(n, den)
         if i == 0:
             parts.append(str(c))
         else:

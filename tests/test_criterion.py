@@ -428,8 +428,8 @@ def test_tampered_datum_fails_with_witness():
     assert quotient_rank(d, margin=2) < count
 
 
-def tampered_lifting_a1xa1():
-    d = build_preset("lifting_a1xa1", N=2).datum
+def tampered_lifting_a1xa1(N=2):
+    d = build_preset("lifting_a1xa1", N=N).datum
     bad = NCPoly()
     bad.add_term(((), (0, 0)), d.field.one())
     bad.add_term(((), (1, 0)), -d.field.one())  # 1 - g1 instead of 1 - g1 g2
@@ -483,6 +483,40 @@ def test_bounded_span_places_rule_elements_as_multiplication_does(monkeypatch):
     for rs, bound, degree, out in calls:
         assert degree is not None  # valid data: the span is filtered by degree
         assert out == span_elements_by_multiplication(rs, bound, degree), bound
+
+
+@pytest.mark.parametrize(
+    "make,N",
+    [(tampered_uq_sl2, 3), (tampered_uq_sl2, 5), (tampered_uq_sl2, 9), (tampered_lifting_a1xa1, 2), (tampered_lifting_a1xa1, 3)],
+    ids=["uq_sl2-3", "uq_sl2-5", "uq_sl2-9", "lifting_a1xa1-2", "lifting_a1xa1-3"],
+)
+def test_span_degree_filter_keeps_the_placements_in_order(monkeypatch, make, N):
+    # the degree filter, summed from the parts a, lhs and b, keeps exactly
+    # the unfiltered placements of that degree, in their order
+    calls = []
+    original = criterion.bounded_span_elements
+
+    def recording(rs, bound, degree=None):
+        out = original(rs, bound, degree)
+        calls.append((rs, bound, degree, out))
+        return out
+
+    monkeypatch.setattr(criterion, "bounded_span_elements", recording)
+    assert not check_pbw(make(N)).passed
+    assert calls
+    for rs, bound, degree, out in calls:
+        d = rs.datum
+        assert degree is not None and out
+        # valid data: every term of a placement has the degree of its word,
+        # which is tested once per word
+        kept, ok = [], {}
+        for e in original(rs, bound):
+            U = next(iter(e.terms))[0]
+            if U not in ok:
+                ok[U] = d.chi_eq(d.word_chi(U), degree)
+            if ok[U]:
+                kept.append(e)
+        assert out == kept
 
 
 def test_span_placements_are_counted_before_the_limit(monkeypatch):

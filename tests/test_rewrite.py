@@ -9,6 +9,7 @@ import pytest
 from pbw import rewrite
 from pbw.algebra import NCPoly
 from pbw.criterion import _conditions, bracket_table
+from pbw.datumio import datum_from_dict, datum_to_dict
 from pbw.oracle import quotient_rank
 from pbw.presets import build_preset
 from pbw.rewrite import (
@@ -20,6 +21,7 @@ from pbw.rewrite import (
     pbw_words,
     reduce_bounded,
 )
+from pbw.scalars import Cyclo
 from pbw.words import greatest_first, prec_cmp, xlen
 
 
@@ -218,6 +220,88 @@ def test_site_searches_are_linear_in_the_terms_handled(monkeypatch):
     normal_form(rs, a)
     assert counts["produced"] > 0
     assert counts["find_site"] <= len(a.terms) + counts["produced"]
+
+
+def general(x):
+    """x with its root marker cleared, so that products take the general path."""
+    return Cyclo(x.field, x.num, x.den) if isinstance(x, Cyclo) else x
+
+
+def rewrite_at_reference(rs, U, g, site):
+    """One rule application from scratch: every right-hand side term (V, h)
+    is twisted by chi_right(h), read letter by letter off the right context,
+    through the general scalar product."""
+    d = rs.datum
+    i, cut = site
+    letters = [l for u in U[cut:] for l in u]
+    m = d.field.unit_order
+    out = NCPoly()
+    for (V, h), c in rs.rules[U[i:cut]].terms.items():
+        k = sum(d.chi[l - 1][f] * e for l in letters for f, e in enumerate(h)) % m
+        out.add_term((U[:i] + V + U[cut:], d.group.mul(h, g)), general(c) * general(d.field.root(k)))
+    return out
+
+
+def all_sites(rs, U):
+    """Every (i, cut) at which a left-hand side occurs in U."""
+    return [(i, i + len(lhs)) for i in range(len(U)) for lhs in rs.rules if U[i:i + len(lhs)] == lhs]
+
+
+def uq_sl2_over_f7():
+    raw = datum_to_dict(build_preset("uq_sl2").datum)
+    raw["field"] = {"prime": 7}
+    raw["chi"] = [[2 * e for e in chi] for chi in raw["chi"]]
+    return datum_from_dict(raw)
+
+
+REWRITE_DATA = {
+    "uq_sl2_5": lambda: build_preset("uq_sl2", N=5).datum,
+    "lifting_a2_2a": lambda: build_preset("lifting_a2_2a").datum,
+    "b2_scaffold": lambda: build_preset("b2_scaffold").datum,
+    "uq_sl2_F7": uq_sl2_over_f7,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REWRITE_DATA))
+def test_rewrite_at_matches_a_per_term_reference(name):
+    d = REWRITE_DATA[name]()
+    rs = build_rules(d, bracket_table(d))
+    rng = random.Random(name)
+    letters, els = sorted(d.L), d.group.elements()
+    checked = 0
+    for _ in range(150):
+        U = tuple(rng.choice(letters) for _ in range(rng.randint(2, 7)))
+        g = rng.choice(els)
+        for site in all_sites(rs, U):
+            expected = list(rewrite_at_reference(rs, U, g, site).terms.items())
+            # the first call may fill the twist table, the second reads it
+            assert list(rs.rewrite_at(U, g, site).terms.items()) == expected, (U, g, site)
+            assert list(rs.rewrite_at(U, g, site).terms.items()) == expected, (U, g, site)
+            checked += 1
+    assert checked > 100
+    # at most one table entry per rule and character value mod unit_order
+    m, n = d.field.unit_order, d.group.nfactors
+    assert len(rs._twisted) <= len(rs.rules) * m**n
+
+
+def test_rule_systems_over_different_data_share_no_twist_table():
+    # the same left-hand side and right context in two data with different
+    # coefficients: each system rewrites by its own rule
+    d1 = build_preset("lifting_a2_2a", mu1=1).datum
+    d2 = build_preset("lifting_a2_2a", mu1=3).datum
+    rs1, rs2 = (build_rules(d, bracket_table(d)) for d in (d1, d2))
+    assert rs1._twisted is not rs2._twisted
+    rng = random.Random(4)
+    letters, els = sorted(d1.L), d1.group.elements()
+    differed = 0
+    for _ in range(60):
+        U = tuple(rng.choice(letters) for _ in range(rng.randint(2, 6)))
+        g = rng.choice(els)
+        for site in all_sites(rs1, U):
+            for rs in (rs1, rs2, rs1):
+                assert rs.rewrite_at(U, g, site) == rewrite_at_reference(rs, U, g, site)
+            differed += rs1.rewrite_at(U, g, site) != rs2.rewrite_at(U, g, site)
+    assert differed > 0
 
 
 def test_normal_form_refuses_past_the_letter_limit(monkeypatch):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pbw.scalars import (
+    Cyclo,
     CycloField,
     PrimeField,
     RootOfUnity,
@@ -311,3 +312,130 @@ def test_format_scalar():
     assert format_scalar(f.one() + f.root(1)) == "1 + z"
     assert format_scalar(-f.root(1)) == "-z"
     assert euler_phi(12) == 4
+
+
+ROTATION_CONDUCTORS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 20, 30)
+
+
+def unmarked(x):
+    """x with its root marker cleared, so that products take the general path."""
+    return Cyclo(x.field, x.num, x.den)
+
+
+def random_cyclo(f, rng):
+    return f.element([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(f.degree)])
+
+
+@pytest.mark.parametrize("m", ROTATION_CONDUCTORS)
+def test_times_root_equals_the_general_product(m):
+    f = CycloField(m)
+    rng = random.Random(m)
+    samples = [f.zero(), f.one(), f.from_rational(Fraction(-3, 7))]
+    samples += [f.root(j) for j in range(m)] + [random_cyclo(f, rng) for _ in range(12)]
+    for c in samples:
+        for k in range(-m, 2 * m):
+            expected = unmarked(c) * unmarked(f.root(k))
+            got = c.times_root(k)
+            # equal vectors over an equal denominator: still fully reduced
+            assert (got.num, got.den) == (expected.num, expected.den), (c, k)
+            assert got.root_exp is None or got == f.root(got.root_exp)
+            # the product with a marked factor takes the rotation, either side
+            assert c * f.root(k) == expected == f.root(k) * c
+
+
+@pytest.mark.parametrize("m", ROTATION_CONDUCTORS)
+def test_power_rows_hold_the_m_powers(m):
+    f = CycloField(m)
+    rows = f.power_rows()
+    assert len(rows) == m and f.power_rows() is rows
+    for j, row in enumerate(rows):
+        vec = [0] * f.degree
+        for i, n in row:
+            assert n
+            vec[i] = n
+        assert tuple(vec) == f.root(j).num
+
+
+def test_root_markers_stay_exact_under_random_operations():
+    # short chains, so that the coefficients stay small
+    rng = random.Random(11)
+    marked = 0
+    for m in ROTATION_CONDUCTORS:
+        f = CycloField(m)
+        for _ in range(30):
+            pool = [f.one(), f.root(rng.randrange(m)), f.root(rng.randrange(m)), random_cyclo(f, rng)]
+            for _ in range(8):
+                a, b = rng.choice(pool), rng.choice(pool)
+                op = rng.randrange(5)
+                if op == 0:
+                    x = a + b
+                elif op == 1:
+                    x = a - b
+                elif op == 2:
+                    x = a * b
+                elif op == 3:
+                    x = a.times_root(rng.randint(-2 * m, 2 * m))
+                elif a.is_zero():
+                    continue
+                else:
+                    x = a.inverse()
+                if x.root_exp is not None:
+                    marked += 1
+                    assert x == f.root(x.root_exp) and 0 <= x.root_exp < m
+                pool.append(x)
+    assert marked > 500  # the markers were exercised
+
+
+def test_root_markers_do_not_change_equality_or_hashing():
+    f = CycloField(12)
+    for k in range(12):
+        z = f.root(k)
+        assert z.root_exp == k
+        assert z == unmarked(z) and hash(z) == hash(unmarked(z))
+    assert f.one().root_exp == 0 and f.zero().root_exp is None
+    assert f.from_rational(1).root_exp is None  # not set by a general constructor
+
+
+def test_prime_field_times_root():
+    for p in (2, 7, 13):
+        fp = PrimeField(p)
+        for v in range(p):
+            x = fp.element(v)
+            for k in range(-p, 2 * p):
+                assert x.times_root(k) == x * fp.root(k)
+
+
+def format_scalar_by_fractions(x):
+    """The formatting of format_scalar, read off the Fraction coefficients."""
+    parts = []
+    for i, c in enumerate(x.coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            z = "z" if i == 1 else f"z^{i}"
+            if c == 1:
+                parts.append(z)
+            elif c == -1:
+                parts.append(f"-{z}")
+            else:
+                parts.append(f"{c}*{z}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+def test_format_scalar_matches_the_fraction_formatting():
+    rng = random.Random(3)
+    for m in range(1, 31):
+        f = CycloField(m)
+        samples = [f.zero()] + [f.root(k) for k in range(m)] + [-f.root(k) for k in range(m)]
+        samples += [random_cyclo(f, rng) for _ in range(20)]
+        # entries that reduce to integers over a common denominator
+        samples += [f.element([Fraction(1, 2)] + [1] * (f.degree - 1)), f.from_rational(Fraction(-4, 6))]
+        for x in samples:
+            assert format_scalar(x) == format_scalar_by_fractions(x), x.num

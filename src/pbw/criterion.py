@@ -96,11 +96,10 @@ def leibniz_le_element(datum, table, u, v) -> NCPoly:
     n = datum.heights[u]
     xu = datum.letter(u)
     quu, quv = datum.q_exp(u, u), datum.q_exp(u, v)
-    m = datum.field.unit_order
     acc = table[(u, v)].copy()
     for k in range(1, n):
-        acc = datum.q_commutator(xu, acc, datum.field.root((k * quu + quv) % m))
-    hat = datum.q_commutator(datum.redhats[u], datum.letter(v), datum.field.root(n * quv % m))
+        acc = datum.q_commutator(xu, acc, datum.field.root(k * quu + quv))
+    hat = datum.q_commutator(datum.redhats[u], datum.letter(v), datum.field.root(n * quv))
     return acc - hat
 
 
@@ -115,11 +114,10 @@ def leibniz_gt_element(datum, table, v, u) -> NCPoly:
     n = datum.heights[u]
     xu = datum.letter(u)
     qvu, quu = datum.q_exp(v, u), datum.q_exp(u, u)
-    m = datum.field.unit_order
     acc = table[(v, u)].copy()
     for k in range(1, n):
-        acc = datum.q_commutator(acc, xu, datum.field.root((qvu + k * quu) % m))
-    hat = datum.q_commutator(datum.letter(v), datum.redhats[u], datum.field.root(n * qvu % m))
+        acc = datum.q_commutator(acc, xu, datum.field.root(qvu + k * quu))
+    hat = datum.q_commutator(datum.letter(v), datum.redhats[u], datum.field.root(n * qvu))
     return acc - hat
 
 
@@ -374,7 +372,7 @@ def forced_serre_from_power(datum, u, v, side) -> NCPoly:
     side "left" gives the target for uuv via [redhat_u, x_v]_{q_uv^2},
     side "right" the target for uvv via [x_u, redhat_v]_{q_uv^2}."""
     u, v = tuple(u), tuple(v)
-    q2 = datum.field.root(2 * datum.q_exp(u, v) % datum.field.unit_order)
+    q2 = datum.field.root(2 * datum.q_exp(u, v))
     if side == "left":
         if datum.heights.get(u) != 2:
             raise ValueError(f"height of {format_word(u)} must be 2")

@@ -6,10 +6,11 @@ Unknown fields are rejected.  Scalar literals: an integer is a root exponent
 length phi(m) is a cyclotomic coefficient vector.
 
 Sizes are limited so that loading and validating any accepted file takes well
-under a second: the conductor m (the field builds a phi(m) x phi(m) table),
-the prime p (found prime by trial division), every finite height (the check
-builds words of N + 1 letters), and the order of the group's torsion part
-(the span fallback and the basis enumeration list every group element).
+under a second: the conductor m (the field builds one table, of the m powers
+x^j mod Phi_m; under 40 ms for every m up to the limit), the prime p (found
+prime by trial division), every finite height (the check builds words of
+N + 1 letters), and the order of the group's torsion part (the span fallback
+and the basis enumeration list every group element).
 """
 
 from __future__ import annotations

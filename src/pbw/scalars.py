@@ -30,17 +30,20 @@ def _poly_mul(a, b):
     return _trim(out)
 
 
-def _poly_divmod_exact(num, den):
-    # den monic with integer coefficients; division stays in Z[x]
+def _poly_divmod(num, den):
+    # long division; it stays in Z[x] when den is monic over Z
     num = list(num)
+    lead = den[-1]
     q = [0] * max(len(num) - len(den) + 1, 0)
     for i in range(len(num) - len(den), -1, -1):
         c = num[i + len(den) - 1]
         if c:
+            if lead != 1:
+                c /= lead
             q[i] = c
             for j, dj in enumerate(den):
                 num[i + j] -= c * dj
-    return q, _trim(num)
+    return _trim(q), _trim(num)
 
 
 @lru_cache(maxsize=None)
@@ -60,7 +63,7 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     for d in range(1, m):
         if m % d == 0:
             den = _poly_mul(den, list(cyclotomic_poly(d)))
-    q, r = _poly_divmod_exact(num, den)
+    q, r = _poly_divmod(num, den)
     assert not r, "cyclotomic division must be exact"
     return tuple(q)
 
@@ -87,19 +90,22 @@ class CycloField:
         self.degree = len(self.modulus) - 1
         self._root_cache = {}
         self._root_index = None
-        self._powers = None
-        # fold[j] = integer coefficients of x^(degree + j) mod Phi_m
+        # powers[j] = x^j mod Phi_m for j = 0..m-1, the sparse row of its
+        # nonzero (index, integer coefficient) pairs: x^j itself below the
+        # degree d, then one shift per power, folding the top coefficient
+        # back through x^d = x^d - Phi_m
         d = self.degree
-        fold = []
-        row = [-c for c in self.modulus[:d]]
-        fold.append(tuple(row))
-        for _ in range(1, d):
-            top = row[d - 1]
-            row = [0] + row[: d - 1]
+        rows = [((j, 1),) for j in range(d)]
+        vec = [-c for c in self.modulus[:d]]
+        xd = [(i, n) for i, n in enumerate(vec) if n]
+        for _ in range(d, m):
+            rows.append(tuple([(i, n) for i, n in enumerate(vec) if n]))
+            top = vec.pop()
+            vec.insert(0, 0)
             if top:
-                row = [r + top * f for r, f in zip(row, fold[0])]
-            fold.append(tuple(row))
-        self._fold = tuple(fold)
+                for i, n in xd:
+                    vec[i] += top * n
+        self._powers = tuple(rows)
 
     # unit_order: order of the canonical distinguished root zeta_m
     @property
@@ -117,26 +123,17 @@ class CycloField:
 
     def element(self, coeffs) -> Cyclo:
         coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
+        den = math.lcm(*(c.denominator for c in coeffs))
         num = [int(c * den) for c in coeffs]
-        if len(num) > self.degree:
-            num = self._reduce_int(num)
-        num += [0] * (self.degree - len(num))
-        return _make_cyclo(self, num, den)
-
-    def _reduce_int(self, num):
-        # modulus is monic over Z, so reduction stays in Z
-        num = list(num)
-        mod = self.modulus
-        for i in range(len(num) - 1, self.degree - 1, -1):
+        # fold x^i for i >= degree through its power row
+        d, m, rows = self.degree, self.m, self._powers
+        out = num[:d] + [0] * (d - len(num))
+        for i in range(d, len(num)):
             c = num[i]
             if c:
-                for j in range(len(mod) - 1):
-                    num[i - self.degree + j] -= c * mod[j]
-            num.pop()
-        return num
+                for j, n in rows[i % m]:
+                    out[j] += c * n
+        return _make_cyclo(self, out, den)
 
     def zero(self) -> Cyclo:
         return Cyclo(self, (0,) * self.degree, 1)
@@ -154,28 +151,16 @@ class CycloField:
         k %= self.m
         x = self._root_cache.get(k)
         if x is None:
-            num = [0] * k + [1]
-            if len(num) > self.degree:
-                num = self._reduce_int(num)
-            num += [0] * (self.degree - len(num))
+            num = [0] * self.degree
+            for i, n in self._powers[k]:
+                num[i] = n
             x = self._root_cache[k] = Cyclo(self, tuple(num), 1, k)
         return x
 
     def power_rows(self):
         """The m powers x^j mod Phi_m, j = 0..m-1, each as the sparse row of
-        its nonzero (index, integer coefficient) pairs; built once, on first
-        use, one rotation per power."""
-        if self._powers is None:
-            d = self.degree
-            rows, vec = [], (1,) + (0,) * (d - 1)
-            for _ in range(self.m):
-                rows.append(tuple((i, n) for i, n in enumerate(vec) if n))
-                # times x: shift up, folding the top coefficient back
-                top = vec[-1]
-                vec = (0,) + vec[:-1]
-                if top:
-                    vec = tuple(v + top * f for v, f in zip(vec, self._fold[0]))
-            self._powers = tuple(rows)
+        its nonzero (index, integer coefficient) pairs: the field's one
+        reduction table, built with the field."""
         return self._powers
 
     def root_multiple(self, x: Cyclo):
@@ -185,7 +170,7 @@ class CycloField:
         positive; it is built once, on first use, from the power rows."""
         if self._root_index is None:
             index = {}
-            for k, row in enumerate(self.power_rows()):
+            for k, row in enumerate(self._powers):
                 sign = 1 if row[0][1] > 0 else -1
                 vec = [0] * self.degree
                 for i, n in row:
@@ -335,7 +320,7 @@ class Cyclo:
         k %= m
         if not k:
             return self
-        rows = field._powers or field.power_rows()
+        rows = field._powers
         out = [0] * field.degree
         for i, n in enumerate(self.num):
             if n:
@@ -371,15 +356,14 @@ class Cyclo:
                 for j, bj in enumerate(b):
                     if bj:
                         prod[i + j] += ai * bj
-        fold = self.field._fold
+        # fold x^j for j >= d through its power row
+        rows, m = self.field._powers, self.field.m
         low = prod[:d]
-        for j in range(d - 1):
-            c = prod[d + j]
+        for j in range(d, 2 * d - 1):
+            c = prod[j]
             if c:
-                frow = fold[j]
-                for k in range(d):
-                    if frow[k]:
-                        low[k] += c * frow[k]
+                for k, n in rows[j % m]:
+                    low[k] += c * n
         if den == 1:
             return Cyclo(self.field, tuple(low), 1)
         return _make_cyclo(self.field, low, den)
@@ -416,11 +400,10 @@ class Cyclo:
             return Cyclo(field, tuple(d * n for n in field.root(-k).num), abs(s.numerator))
         # work in Q[x]: gcd(self, Phi_m) = 1 since Phi_m is irreducible
         r0 = [Fraction(c) for c in self.field.modulus]
-        r1 = list(self.coeffs)
-        _trim(r1)
+        r1 = _trim(list(self.coeffs))
         s0, s1 = [], [_ONE]
         while r1:
-            q, r = _poly_divmod_frac(r0, r1)
+            q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         # r0 = gcd (a nonzero constant), s0 * self = r0 (mod Phi_m)
@@ -430,19 +413,6 @@ class Cyclo:
 
     def __repr__(self):
         return f"Cyclo({self.field.m}, {format_scalar(self)})"
-
-
-def _poly_divmod_frac(num, den):
-    num = [Fraction(c) for c in num]
-    q = [_ZERO] * max(len(num) - len(den) + 1, 0)
-    lead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] / lead
-        if c:
-            q[i] = c
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    return _trim(q), _trim(num)
 
 
 def _poly_sub(a, b):
@@ -500,7 +470,7 @@ class PrimeField:
         return self.element(r.numerator * pow(r.denominator, -1, self.p))
 
     def root(self, k: int) -> Fp:
-        return self.element(pow(self.generator, k % max(self.unit_order, 1), self.p))
+        return self.element(pow(self.generator, k % self.unit_order, self.p))
 
     def order(self, x: Fp):
         """The order of x in the unit group: p - 1 with every prime factor l
@@ -737,9 +707,13 @@ def scalar_literal(x):
     if isinstance(x, Fp):
         return str(x.value)
     f = x.field
-    for k in range(f.m):
-        if x == f.root(k):
+    hit = f.root_multiple(x)
+    if hit is not None:
+        s, k = hit
+        if s == 1:
             return k
+        if s == -1 and f.m % 2 == 0:
+            return (k + f.m // 2) % f.m
     if x.is_rational():
         return str(x.coeffs[0])
     return [str(c) for c in x.coeffs]

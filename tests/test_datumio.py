@@ -2,13 +2,15 @@
 
 import copy
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbw.algebra import Datum, GroupSpec, NCPoly
-from pbw.datumio import DatumFormatError, datum_from_dict, datum_to_dict, load_datum, save_datum
+from pbw.criterion import check_pbw
+from pbw.datumio import MAX_CONDUCTOR, DatumFormatError, datum_from_dict, datum_to_dict, load_datum, save_datum
 from pbw.presets import PRESET_NAMES, build_preset
 from pbw.scalars import PrimeField
 
@@ -117,6 +119,22 @@ def test_large_prime_field_datum_round_trips(tmp_path):
     assert json.loads(path.read_text())["redhats"]["1"][0]["coeff"] == "123456789"
     d2 = load_datum(path)
     assert d2.field == f and d2.redhats == d.redhats
+
+
+@pytest.mark.parametrize("m", [997, 990, MAX_CONDUCTOR])
+def test_largest_conductors_load_and_check_well_under_a_second(m, tmp_path):
+    # 997 is the largest prime conductor (zeta^996 is dense); 990 has the
+    # most power rows past phi(m) = 240 that need a fold
+    raw = datum_to_dict(build_preset("quantum_plane", m=m, k=1).datum)
+    raw["reds"]["12"] = [{"word": ["2", "1"], "grp": [0], "coeff": m - 1}]
+    path = tmp_path / "qplane.json"
+    path.write_text(json.dumps(raw))
+    t0 = time.perf_counter()
+    d = load_datum(path)
+    assert d.validate() == []
+    assert check_pbw(d).passed
+    assert datum_to_dict(d) == raw  # the root literal is recognized again
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_char_p_height_shape_accepts_p_powers():

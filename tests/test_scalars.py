@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: cyclotomic fields, orders, Gaussian binomials."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -353,7 +354,7 @@ def test_power_rows_hold_the_m_powers(m):
         for i, n in row:
             assert n
             vec[i] = n
-        assert tuple(vec) == f.root(j).num
+        assert vec == reference_remainder([0] * j + [1], m)
 
 
 def test_root_markers_stay_exact_under_random_operations():
@@ -439,3 +440,95 @@ def test_format_scalar_matches_the_fraction_formatting():
         samples += [f.element([Fraction(1, 2)] + [1] * (f.degree - 1)), f.from_rational(Fraction(-4, 6))]
         for x in samples:
             assert format_scalar(x) == format_scalar_by_fractions(x), x.num
+
+
+REFERENCE_CONDUCTORS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 20, 30, 105)
+
+
+def reference_remainder(num, m):
+    """An integer polynomial mod Phi_m, by long division by
+    cyclotomic_poly(m), padded to phi(m) entries."""
+    mod = cyclotomic_poly(m)
+    d = len(mod) - 1
+    num = list(num)
+    for i in range(len(num) - 1, d - 1, -1):
+        c = num[i]
+        if c:
+            for j, mj in enumerate(mod):
+                num[i - d + j] -= c * mj
+    return num[:d] + [0] * (d - len(num))
+
+
+def reference_reduce(coeffs, m):
+    """The Fraction coefficients of a rational polynomial mod Phi_m."""
+    coeffs = [Fraction(c) for c in coeffs]
+    den = math.lcm(1, *(c.denominator for c in coeffs))
+    return tuple(Fraction(n, den) for n in reference_remainder([int(c * den) for c in coeffs], m))
+
+
+def reference_product(x, y):
+    """x * y by schoolbook multiplication, then long division by Phi_m."""
+    a, b = x.num, y.num
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return tuple(Fraction(n, x.den * y.den) for n in reference_remainder(prod, x.field.m))
+
+
+@pytest.mark.parametrize("m", REFERENCE_CONDUCTORS)
+def test_products_equal_the_long_division_reference(m):
+    f = CycloField(m)
+    rng = random.Random(100 + m)
+    # unmarked factors, so that every product with an irrational factor takes
+    # the general path; large integer entries as well as small fractions
+    pool = [f.zero(), f.from_rational(Fraction(-5, 3)), unmarked(f.root(m - 1)), unmarked(f.root(m // 2))]
+    pool += [random_cyclo(f, rng) for _ in range(8)]
+    pool += [f.element([rng.randint(-10**6, 10**6) for _ in range(f.degree)]) for _ in range(4)]
+    for x in pool:
+        for y in pool:
+            assert (x * y).coeffs == reference_product(x, y), (x, y)
+
+
+@pytest.mark.parametrize("m", REFERENCE_CONDUCTORS)
+def test_element_folds_long_vectors_as_the_reference(m):
+    f = CycloField(m)
+    rng = random.Random(200 + m)
+    for n in range(3 * f.degree + 3):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+        x = f.element(coeffs)
+        assert x.coeffs == reference_reduce(coeffs, m), coeffs
+        assert math.gcd(x.den, *x.num) == 1  # fully reduced
+
+
+@pytest.mark.parametrize("m", REFERENCE_CONDUCTORS)
+def test_roots_equal_the_reference(m):
+    f = CycloField(m)
+    for k in range(-m, 2 * m):
+        z = f.root(k)
+        assert z.coeffs == reference_reduce([0] * (k % m) + [1], m), k
+        assert z.root_exp == k % m
+
+
+def loop_scalar_literal(x):
+    """scalar_literal over Q(zeta_m) by comparing x with each of the m roots."""
+    f = x.field
+    for k in range(f.m):
+        if x == f.root(k):
+            return k
+    if x.is_rational():
+        return str(x.coeffs[0])
+    return [str(c) for c in x.coeffs]
+
+
+def test_scalar_literal_equals_the_comparison_with_every_root():
+    rng = random.Random(5)
+    for m in range(1, 61):
+        f = CycloField(m)
+        samples = [f.zero(), f.from_rational(2), f.from_rational(Fraction(-1, 3))]
+        for k in range(m):
+            z = unmarked(f.root(k))
+            samples += [z, -z, z + z]
+        samples += [random_cyclo(f, rng) for _ in range(10)]
+        for x in samples:
+            assert scalar_literal(x) == loop_scalar_literal(x), (m, x.num, x.den)

@@ -74,6 +74,19 @@ class GroupSpec:
             out = [g + (e,) for g in out for e in range(m)]
         return out
 
+    def subgroup(self, gens):
+        """The subgroup generated by gens, as a set; the group must be finite."""
+        sub = {self.identity()}
+        todo = list(sub)
+        while todo:
+            x = todo.pop()
+            for s in gens:
+                y = self.mul(x, s)
+                if y not in sub:
+                    sub.add(y)
+                    todo.append(y)
+        return sub
+
 
 # ---------------------------------------------------------------------------
 # polynomials

@@ -136,24 +136,28 @@ def leibniz_gt_element(datum, table, v, u) -> NCPoly:
 MAX_SPAN_PLACEMENTS = 200_000
 
 
-def bounded_span_elements(rs: RuleSystem, bound, degree=None):
+def bounded_span_elements(rs: RuleSystem, bound, degree=None, cosets=None):
     """All rule elements a*(lhs - rhs)*b*h whose full word a*lhs*b precedes
     the bound, for every element h of the group, which must be finite.
     Group letters on the left are absorbed by character homogeneity, so
     contexts are words times a right group factor.  With a degree, only the
-    placements whose word a*lhs*b has that character degree are built.
+    placements whose word a*lhs*b has that character degree are built.  With
+    cosets, a sorted list of group elements, only the h in it are: the
+    placement a*(lhs - rhs)*b*h lies in the coset h*H of rs.subgroup, so for
+    a union of cosets of H this keeps the placements that meet it.  The
+    elements come placement by placement, each with its h in sorted order.
     Raises ValueError when there are more than MAX_SPAN_PLACEMENTS
     placements of at most as many letters as the bound."""
     datum = rs.datum
-    els = datum.group.elements()
+    hs = datum.group.elements() if cosets is None else cosets
     identity = datum.group.identity()
-    cosets = {}
+    shifted = {}
 
-    def coset(g):
-        """The products g*h for h in els, in that order."""
-        gh = cosets.get(g)
+    def shift(g):
+        """The products g*h for h in hs, in that order."""
+        gh = shifted.get(g)
         if gh is None:
-            gh = cosets[g] = [datum.group.mul(g, h) for h in els]
+            gh = shifted[g] = [datum.group.mul(g, h) for h in hs]
         return gh
 
     letters = sorted(datum.L)
@@ -210,8 +214,8 @@ def bounded_span_elements(rs: RuleSystem, bound, degree=None):
                 if degree is not None and any((x - n) % m for x, n in zip(chi[b], need)):
                     continue
                 placed = datum.monomial(U) - rs.rewrite_at(U, identity, (len(a), len(a) + len(lhs)))
-                terms = [(V, coset(g), c) for (V, g), c in placed.terms.items()]
-                for j in range(len(els)):
+                terms = [(V, shift(g), c) for (V, g), c in placed.terms.items()]
+                for j in range(len(hs)):
                     out.append(NCPoly({(V, gh[j]): c for V, gh, c in terms}))
     return out
 
@@ -220,20 +224,23 @@ def span_degree(rs: RuleSystem, a: NCPoly):
     """The character degree of a when a is character-homogeneous and every
     rule element lhs - rhs has the degree of lhs; otherwise None.  Only then
     do the span placements of other degrees share no monomial with a."""
-    d = rs.datum
-    degree = d.char_degree(a)
-    homogeneous = degree is not None and all(
-        d.chi_eq(d.word_chi(U), d.word_chi(lhs))
-        for lhs, rhs in rs.rules.items()
-        for U, _g in rhs.terms
-    )
-    return degree if homogeneous else None
+    degree = rs.datum.char_degree(a)
+    return degree if degree is not None and rs.homogeneous else None
+
+
+def span_cosets(rs: RuleSystem, a: NCPoly):
+    """The group elements g*k for a group part g of a and k in rs.subgroup,
+    sorted: the union of the cosets of H that hold a group part of a."""
+    group = rs.datum.group
+    return sorted({group.mul(g, k) for _U, g in a.terms for k in rs.subgroup})
 
 
 def in_bounded_ideal(rs: RuleSystem, a: NCPoly, bound):
     """Membership test for the bounded span: deterministic bounded reduction
-    first; on a nonzero residue, the exact span test (finite groups only),
-    over the placements of the span degree of a.
+    first; on a nonzero residue, the exact span test (finite groups only).
+    The span is built over the placements of the span degree of a, and in
+    the span cosets of a only: a placement in another coset of rs.subgroup
+    shares no monomial with a or with any placement that does.
 
     Returns (member, residue, used_fallback)."""
     residue = reduce_bounded(rs, a, bound)
@@ -241,8 +248,7 @@ def in_bounded_ideal(rs: RuleSystem, a: NCPoly, bound):
         return True, residue, False
     if not rs.datum.group.is_finite():
         return False, residue, False
-    degree = span_degree(rs, a)
-    elements = bounded_span_elements(rs, bound, degree)
+    elements = bounded_span_elements(rs, bound, span_degree(rs, a), span_cosets(rs, a))
     return span_contains(elements, a), residue, True
 
 

@@ -73,10 +73,19 @@ class Echelon:
         return len(self.pivots)
 
 
-def poly_row(a: NCPoly):
+def poly_row(a: NCPoly, labels=None):
     """Row with the labels (*greatest_first(U), g): the least label is the
-    greatest monomial in the rewriting order."""
-    return {(*greatest_first(U), g): c for (U, g), c in a.terms.items()}
+    greatest monomial in the rewriting order.  labels, a dict from words to
+    greatest_first(U), lets calls that share words compute each key once."""
+    if labels is None:
+        labels = {}
+    row = {}
+    for (U, g), c in a.terms.items():
+        key = labels.get(U)
+        if key is None:
+            key = labels[U] = greatest_first(U)
+        row[(*key, g)] = c
+    return row
 
 
 def span_contains(elements, target: NCPoly) -> bool:
@@ -103,10 +112,11 @@ def span_contains(elements, target: NCPoly) -> bool:
                 parent[r] = root
     linked = {find(m) for m in target.terms if m in parent}
     ech = Echelon()
+    labels = {}  # each word is labelled once per call
     for e in elements:
         if e.terms and find(next(iter(e.terms))) in linked:
-            ech.insert(poly_row(e))
-    return ech.contains(poly_row(target))
+            ech.insert(poly_row(e, labels))
+    return ech.contains(poly_row(target, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -144,20 +154,6 @@ def ideal_generators_expanded(datum):
             lhs = datum.mul(lhs, base)
         gens.append(lhs - datum.expand_to_letters(datum.redhats[u]))
     return gens
-
-
-def _subgroup(group, gens):
-    """The subgroup of a finite group generated by gens."""
-    sub = {group.identity()}
-    todo = list(sub)
-    while todo:
-        x = todo.pop()
-        for s in gens:
-            y = group.mul(x, s)
-            if y not in sub:
-                sub.add(y)
-                todo.append(y)
-    return sub
 
 
 class ColumnKeys:
@@ -263,7 +259,7 @@ def quotient_rank(datum, margin=0) -> int:
         )
 
     gens = [r for r in ideal_generators_expanded(datum) if not r.is_zero()]
-    sub = _subgroup(group, {g for r in gens for _, g in r.terms})
+    sub = group.subgroup({g for r in gens for _, g in r.terms})
 
     homogeneous = all(datum.char_degree(r) is not None for r in gens)
     ident = group.identity()

@@ -25,6 +25,7 @@ from pbw.criterion import (
     leibniz_le_element,
     leibniz_self_element,
     in_bounded_ideal,
+    span_cosets,
     span_degree,
 )
 from pbw.oracle import (
@@ -436,11 +437,12 @@ def tampered_lifting_a1xa1(N=2):
     return replace(d, reds={(1, 2): bad})
 
 
-def span_elements_by_multiplication(rs, bound, degree=None):
+def span_elements_by_multiplication(rs, bound, degree=None, cosets=None):
     """Reference for bounded_span_elements, built by smash-product
     multiplication: a*(lhs - rhs)*b*h for every rule, every pair of word
     contexts with a*lhs*b below the bound, and every group element h; with
-    a degree, only the products of that character degree."""
+    a degree, only the products of that character degree, and with cosets,
+    only the h in them."""
     d = rs.datum
     words, frontier = [()], [()]
     while frontier:
@@ -459,7 +461,8 @@ def span_elements_by_multiplication(rs, bound, degree=None):
                         assert placed_degree is not None, (lhs, a, b)
                         if not d.chi_eq(placed_degree, degree):
                             continue
-                    out.extend(d.mul(placed, d.group_like(h)) for h in d.group.elements())
+                    hs = [h for h in d.group.elements() if cosets is None or h in cosets]
+                    out.extend(d.mul(placed, d.group_like(h)) for h in hs)
     return out
 
 
@@ -467,9 +470,9 @@ def test_bounded_span_places_rule_elements_as_multiplication_does(monkeypatch):
     calls = []
     original = criterion.bounded_span_elements
 
-    def recording(rs, bound, degree=None):
-        out = original(rs, bound, degree)
-        calls.append((rs, bound, degree, out))
+    def recording(rs, bound, degree=None, cosets=None):
+        out = original(rs, bound, degree, cosets)
+        calls.append((rs, bound, degree, cosets, out))
         return out
 
     monkeypatch.setattr(criterion, "bounded_span_elements", recording)
@@ -480,9 +483,10 @@ def test_bounded_span_places_rule_elements_as_multiplication_does(monkeypatch):
         # the unfiltered span, once per datum
         rs, bound = calls[before][:2]
         assert original(rs, bound) == span_elements_by_multiplication(rs, bound), bound
-    for rs, bound, degree, out in calls:
+    for rs, bound, degree, cosets, out in calls:
         assert degree is not None  # valid data: the span is filtered by degree
-        assert out == span_elements_by_multiplication(rs, bound, degree), bound
+        assert cosets is not None
+        assert out == span_elements_by_multiplication(rs, bound, degree, cosets), bound
 
 
 @pytest.mark.parametrize(
@@ -496,27 +500,74 @@ def test_span_degree_filter_keeps_the_placements_in_order(monkeypatch, make, N):
     calls = []
     original = criterion.bounded_span_elements
 
-    def recording(rs, bound, degree=None):
-        out = original(rs, bound, degree)
-        calls.append((rs, bound, degree, out))
+    def recording(rs, bound, degree=None, cosets=None):
+        out = original(rs, bound, degree, cosets)
+        calls.append((rs, bound, degree, cosets, out))
         return out
 
     monkeypatch.setattr(criterion, "bounded_span_elements", recording)
     assert not check_pbw(make(N)).passed
     assert calls
-    for rs, bound, degree, out in calls:
+    for rs, bound, degree, cosets, out in calls:
         d = rs.datum
         assert degree is not None and out
         # valid data: every term of a placement has the degree of its word,
         # which is tested once per word
         kept, ok = [], {}
-        for e in original(rs, bound):
+        for e in original(rs, bound, None, cosets):
             U = next(iter(e.terms))[0]
             if U not in ok:
                 ok[U] = d.chi_eq(d.word_chi(U), degree)
             if ok[U]:
                 kept.append(e)
         assert out == kept
+
+
+@pytest.mark.parametrize(
+    "make,N,index",
+    [(tampered_lifting_a1xa1, 2, 2), (tampered_lifting_a1xa1, 3, 3), (tampered_uq_sl2, 3, 1), (tampered_uq_sl2, 5, 1)],
+    ids=["lifting_a1xa1-2", "lifting_a1xa1-3", "uq_sl2-3", "uq_sl2-5"],
+)
+def test_span_coset_filter_keeps_the_placements_that_meet_the_target(monkeypatch, make, N, index):
+    # the span test builds exactly the placements, filtered by degree only,
+    # that have a group part in a coset of H holding a group part of the
+    # target, in their order; H is generated by the rule elements' group
+    # parts and has index [G:H] = index
+    spans, tests = [], []
+    build, contains = criterion.bounded_span_elements, criterion.span_contains
+
+    def recording_build(rs, bound, degree=None, cosets=None):
+        out = build(rs, bound, degree, cosets)
+        spans.append((rs, bound, degree, out))
+        return out
+
+    def recording_contains(elements, target):
+        tests.append((elements, target))
+        return contains(elements, target)
+
+    monkeypatch.setattr(criterion, "bounded_span_elements", recording_build)
+    monkeypatch.setattr(criterion, "span_contains", recording_contains)
+    assert not check_pbw(make(N)).passed
+    assert spans and len(spans) == len(tests)
+    for (rs, bound, degree, out), (elements, target) in zip(spans, tests):
+        assert elements is out
+        group = rs.datum.group
+        gens = {g for lhs, rhs in rs.rules.items() for _U, g in (rs.datum.monomial(lhs) - rhs).terms}
+        H = {group.identity()}
+        while True:
+            grown = H | {group.mul(h, g) for h in H for g in gens}
+            if grown == H:
+                break
+            H = grown
+        assert len(H) * index == group.order()
+        meet = {group.mul(g, h) for _U, g in target.terms for h in H}
+        unfiltered = build(rs, bound, degree)
+        kept = [e for e in unfiltered if any(g in meet for _U, g in e.terms)]
+        assert out == kept
+        if index == 1:
+            assert out == unfiltered
+        else:
+            assert len(out) < len(unfiltered)
 
 
 def test_span_placements_are_counted_before_the_limit(monkeypatch):
@@ -550,11 +601,13 @@ def unpruned_membership(rs, element, bound):
 
 
 def test_pruned_span_agrees_with_unpruned_elimination():
+    # the span filtered by degree and by the target's cosets, then pruned to
+    # the linked elements, decides as plain elimination of the whole span on
     # every condition of every preset with a finite group, in both modes, and
     # of the acceptance tamperings, whether or not bounded reduction already
     # settles it; the unpruned span grows exponentially in the bound, so only
     # bounds of at most 4 letters are compared (81 conditions, every
-    # tampered one among them)
+    # tampered one among them; the coset filter drops group elements on 71)
     from test_acceptance import tampered_instances
 
     data = [(name, build_preset(name).datum) for name in PRESET_NAMES]
@@ -573,7 +626,8 @@ def test_pruned_span_agrees_with_unpruned_elimination():
             if xlen(bound) > 4:
                 continue
             degree = span_degree(rs, element)
-            pruned = span_contains(criterion.bounded_span_elements(rs, bound, degree), element)
+            span = criterion.bounded_span_elements(rs, bound, degree, span_cosets(rs, element))
+            pruned = span_contains(span, element)
             assert pruned == unpruned_membership(rs, element, bound), (desc, key)
             outcomes.add((pruned, degree is not None))
     assert outcomes == {(True, True), (True, False), (False, True)}

@@ -250,12 +250,13 @@ class Datum:
         return tuple(out)
 
     def word_chi(self, U):
-        """Character degree of the super word U, summed from the per-letter
-        table."""
+        """Character degree of the super word U: each distinct letter's
+        entry of the per-letter table, times the letter's count."""
         out = (0,) * self.group.nfactors
-        for l in U:
+        for l in set(U):
+            k = U.count(l)
             chi = self._letter_chi.get(l)
-            out = tuple(map(sum, zip(out, chi if chi is not None else self.chi_word(l))))
+            out = tuple([x + k * y for x, y in zip(out, chi if chi is not None else self.chi_word(l))])
         return out
 
     def g_word(self, u):

@@ -11,6 +11,7 @@ from itertools import accumulate
 from .algebra import NCPoly
 from .rewrite import RuleSystem, build_rules, normal_form, reduce_bounded
 from .oracle import span_contains
+from .scalars import RootOfUnity, is_height_for_order
 from .words import format_word, shirshov_decompose, xlen
 
 
@@ -90,17 +91,117 @@ def jacobi_element(datum, table, u, v, w) -> NCPoly:
     return out
 
 
+def _nested_weights(datum, u, qexp):
+    """The weights a_0, ..., a_n, n = N_u - 1, of the expansion
+        prod_{k=1..n} (L - q_k R) = sum_i a_i L^(n-i) R^i,   q_k = zeta^(qexp + k q_uu),
+    for commuting L and R, so a_i = (-1)^i e_i(q_1, ..., q_n).  With r = q_uu
+    and Q = zeta^qexp, the q-binomial theorem gives
+    e_i = Q^i r^(i(i+1)/2) [n choose i]_r.
+
+    Returns (order, weights): the indices i with a_i != 0, in the order in
+    which multiplying out the product one factor at a time, its L term
+    first, leaves their words, and the a_i as scalars, or None for
+    a_i = Q^i.  That is the case at every height that validate accepts,
+    N_u = p^k ord r (k = 0 when p = 0): then [n choose i]_r =
+    (-1)^i r^(-i(i+1)/2) by the q-Lucas theorem.  In characteristic p the
+    partial products lose the terms whose Gaussian binomials vanish and
+    place them again later, and the order is that of the digits of i in the
+    mixed radix (ord r, p, ..., p), least significant first.  At any other
+    height the weights come from the recurrence e_i += q_k e_(i-1), exact
+    for every height, and the order from replaying which of them vanish."""
+    field = datum.field
+    n = datum.heights[u] - 1
+    quu = datum.q_exp(u, u)
+    ord_r, p = RootOfUnity(quu, field.unit_order).order(), field.characteristic
+    if is_height_for_order(n + 1, ord_r, p):
+        if p == 0:
+            return range(n + 1), None
+        radix = [ord_r]
+        while radix[-1] <= n:
+            radix.append(radix[-1] * p)
+        return sorted(range(n + 1), key=lambda i: [i % ord_r] + [i // b % p for b in radix]), None
+    a, order = [field.one()], [0]
+    for k in range(1, n + 1):
+        q = field.root(qexp + k * quu)
+        a = [x - q * y for x, y in zip(a + [field.zero()], [field.zero()] + a)]
+        placed = set(order)
+        order = [i for i in order if not a[i].is_zero()] + [i + 1 for i in order if i + 1 not in placed]
+    return order, a
+
+
+def _nested_bracket(datum, t, u, qexp, left):
+    """The N_u - 1 times nested q-commutator of x_u with t, step k twisting
+    by q_k = zeta^(qexp + k q_uu): [x_u, [x_u, ... t]] when left, else
+    [[... t, x_u], x_u].  A term c V g of t, with s = chi_u(g), gives
+        sum_i c a_i s^i x_u^(n-i) V x_u^i g            (left)
+        sum_i c a_i s^(n-i) x_u^i V x_u^(n-i) g        (right)
+    with the weights a_i of _nested_weights, which are zeta^(i qexp) at every
+    validated height: one rotation per coefficient.  The loop runs over i
+    outside, in the order of _nested_weights, and over the terms of t
+    inside: the term order of the nested products.  A term whose V is a
+    power of x_u gives one word for every i; the products keep it in the
+    place of its first term, so it is added up first.  Two terms
+    x_u^a Y x_u^b g with one Y and one g share words too: in characteristic
+    p above ord q_uu a partial product can cancel such a word and place it
+    again later, and then only the values agree with the products'."""
+    n = datum.heights[u] - 1
+    order, weights = _nested_weights(datum, u, qexp)
+    chi_u = datum.word_chi((u,))
+    powers = [(u,) * j for j in range(n + 1)]
+
+    def coeff(c, s, i):
+        # j letters x_u stand right of V, each twisted by s
+        j = i if left else n - i
+        if weights is None:
+            return c.times_root(i * qexp + j * s)
+        return (c * weights[i]).times_root(j * s)
+
+    def word(V, i):
+        return powers[n - i] + V + powers[i] if left else powers[i] + V + powers[n - i]
+
+    rows = []
+    for (V, g), c in t.terms.items():
+        s = datum.chi_apply_exp(chi_u, g)
+        total = None
+        if V.count(u) == len(V):
+            total = datum.field.zero()
+            for i in order:
+                total = total + coeff(c, s, i)
+        rows.append((V, g, c, s, total))
+    out = NCPoly()
+    for pos, i in enumerate(order):
+        for V, g, c, s, total in rows:
+            if total is None:
+                out.add_term((word(V, i), g), coeff(c, s, i))
+            elif pos == 0:
+                out.add_term((word(V, i), g), total)
+    return out
+
+
+def _hat_bracket(datum, redhat, v, q, left):
+    """[redhat, x_v]_q when left, else [x_v, redhat]_q, term by term: x_v
+    passes the group part h of a term with the twist chi_v(h), in the term
+    order of the two products."""
+    chi_v = datum.word_chi((v,))
+    twisted = [((W + (v,), h), datum.twist(c, chi_v, h)) for (W, h), c in redhat.terms.items()]
+    plain = [(((v,) + W, h), c) for (W, h), c in redhat.terms.items()]
+    first, second = (twisted, plain) if left else (plain, twisted)
+    out = NCPoly(dict(first))
+    for mono, c in second:
+        out.add_term(mono, -(c * q))
+    return out
+
+
 def leibniz_le_element(datum, table, u, v) -> NCPoly:
     """For u < v with finite N_u: the N_u - 1 times nested bracket
-    [x_u, ... [x_u, T[u,v]]_{q_uu q_uv} ...] minus [redhat_u, x_v]_{q_uv^N}."""
+    [x_u, ... [x_u, T[u,v]]_{q_uu q_uv} ...] minus [redhat_u, x_v]_{q_uv^N}.
+    In closed form, with n = N_u - 1, each term c V g of T[u,v] gives
+        sum_i c zeta^(i (q_uv + chi_u(g))) x_u^(n-i) V x_u^i g
+    at every height that validate accepts (exponents of zeta throughout);
+    _nested_weights has the derivation and the other heights."""
     n = datum.heights[u]
-    xu = datum.letter(u)
-    quu, quv = datum.q_exp(u, u), datum.q_exp(u, v)
-    acc = table[(u, v)].copy()
-    for k in range(1, n):
-        acc = datum.q_commutator(xu, acc, datum.field.root(k * quu + quv))
-    hat = datum.q_commutator(datum.redhats[u], datum.letter(v), datum.field.root(n * quv))
-    return acc - hat
+    acc = _nested_bracket(datum, table[(u, v)], u, datum.q_exp(u, v), left=True)
+    return acc - _hat_bracket(datum, datum.redhats[u], v, datum.field.root(n * datum.q_exp(u, v)), left=True)
 
 
 def leibniz_self_element(datum, u) -> NCPoly:
@@ -110,15 +211,14 @@ def leibniz_self_element(datum, u) -> NCPoly:
 
 def leibniz_gt_element(datum, table, v, u) -> NCPoly:
     """For v < u with finite N_u: the left-nested bracket
-    [...[T[v,u], x_u]_{q_vu q_uu} ...] minus [x_v, redhat_u]_{q_vu^N}."""
+    [...[T[v,u], x_u]_{q_vu q_uu} ...] minus [x_v, redhat_u]_{q_vu^N}.
+    In closed form, with n = N_u - 1, each term c V g of T[v,u] gives
+        sum_i c zeta^(i q_vu + (n-i) chi_u(g)) x_u^i V x_u^(n-i) g
+    at every height that validate accepts; _nested_weights has the
+    derivation and the other heights."""
     n = datum.heights[u]
-    xu = datum.letter(u)
-    qvu, quu = datum.q_exp(v, u), datum.q_exp(u, u)
-    acc = table[(v, u)].copy()
-    for k in range(1, n):
-        acc = datum.q_commutator(acc, xu, datum.field.root(qvu + k * quu))
-    hat = datum.q_commutator(datum.letter(v), datum.redhats[u], datum.field.root(n * qvu))
-    return acc - hat
+    acc = _nested_bracket(datum, table[(v, u)], u, datum.q_exp(v, u), left=False)
+    return acc - _hat_bracket(datum, datum.redhats[u], v, datum.field.root(n * datum.q_exp(v, u)), left=False)
 
 
 # ---------------------------------------------------------------------------

@@ -59,15 +59,26 @@ class RuleSystem:
     def find_site(self, U, bound=None):
         """Leftmost reducible site (i, cut) in the word U, power rules first
         at each position; sites are admissible only when U precedes the
-        bound."""
+        bound.  One pass over the runs of equal letters: a power site starts
+        at the first letter of a run of u exactly when the run holds at
+        least N_u letters, and a pair site can start only at a run's last
+        letter, because (u, u) is never a pair rule."""
         if bound is not None and prec_cmp(U, bound) >= 0:
             return None
-        for i, u in enumerate(U):
-            power = self._powers.get(u)
-            if power is not None and U[i:i + len(power)] == power:
+        powers, rules = self._powers, self.rules
+        n = len(U)
+        i = 0
+        while i < n:
+            u = U[i]
+            j = i + 1
+            while j < n and U[j] == u:
+                j += 1
+            power = powers.get(u)
+            if power is not None and j - i >= len(power):
                 return (i, i + len(power))
-            if i + 1 < len(U) and U[i:i + 2] in self.rules:
-                return (i, i + 2)
+            if j < n and (u, U[j]) in rules:
+                return (j - 1, j + 1)
+            i = j
         return None
 
     def rewrite_at(self, U, g, site):

@@ -119,7 +119,7 @@ def c_set(members):
 
 def xlen(U) -> int:
     """Length of a super word, counted in original letters."""
-    return sum(len(u) for u in U)
+    return sum(map(len, U))
 
 
 def prec_cmp(U, V) -> int:

@@ -22,6 +22,7 @@ from pbw.criterion import (
     forced_serre_from_power,
     generic_redundancies,
     jacobi_element,
+    leibniz_gt_element,
     leibniz_le_element,
     leibniz_self_element,
     in_bounded_ideal,
@@ -318,6 +319,174 @@ def test_leibniz_le_lifting_cancellation():
     rules = build_rules(d, tab)
     member, residue, fb = in_bounded_ideal(rules, elem, ((1,), (1,), (2,)))
     assert member and residue.is_zero() and not fb
+
+
+def nested_leibniz_reference(datum, table, kind, a, b):
+    """The element of leibniz_le_element (kind "le", a = u < v = b) or of
+    leibniz_gt_element (kind "gt", a = v < u = b) as N_u - 1 nested
+    q-commutators, two Datum.mul products per step, minus the hat bracket."""
+    u, v = (a, b) if kind == "le" else (b, a)
+    n = datum.heights[u]
+    xu, xv = datum.letter(u), datum.letter(v)
+    q, quu = datum.q_exp(a, b), datum.q_exp(u, u)
+    acc = table[(a, b)].copy()
+    for k in range(1, n):
+        root = datum.field.root(q + k * quu)
+        acc = datum.q_commutator(xu, acc, root) if kind == "le" else datum.q_commutator(acc, xu, root)
+    qn = datum.field.root(n * q)
+    if kind == "le":
+        return acc - datum.q_commutator(datum.redhats[u], xv, qn)
+    return acc - datum.q_commutator(xv, datum.redhats[u], qn)
+
+
+def leibniz_pairs(datum):
+    """(kind, a, b) for every restricted Leibniz element with a table entry."""
+    for u in datum.d_set():
+        for v in datum.L:
+            if v > u:
+                yield "le", u, v
+            elif v < u:
+                yield "gt", v, u
+
+
+def closed_and_nested(datum, table=None):
+    """(kind, a, b, closed form, nested reference) for every Leibniz pair."""
+    table = bracket_table(datum) if table is None else table
+    for kind, a, b in leibniz_pairs(datum):
+        build = leibniz_le_element if kind == "le" else leibniz_gt_element
+        yield kind, a, b, build(datum, table, a, b), nested_leibniz_reference(datum, table, kind, a, b)
+
+
+def assert_closed_form_is_the_nested_products(datum, table=None):
+    """Equal in value and in term order; returns the number of elements."""
+    count = 0
+    for kind, a, b, got, want in closed_and_nested(datum, table):
+        assert list(got.terms.items()) == list(want.terms.items()), (kind, a, b)
+        count += 1
+    return count
+
+
+def a2_nichols(N, group=None):
+    """A2 Nichols data at ord q = N (odd): q_11 = q_22 = zeta^2,
+    q_12 = q_21 = zeta^-1, all heights N, zero reds and redhats; the group
+    is Z_N^2 unless given."""
+    group = group or GroupSpec((N, N))
+    return Datum(
+        theta=2, field=CycloField(N), group=group,
+        g=(group.element((1, 0)), group.element((0, 1))),
+        chi=((2, N - 1), (N - 1, 2)),
+        L=((1,), (1, 2), (2,)),
+        heights={(1,): N, (1, 2): N, (2,): N},
+        reds={(1, 1, 2): NCPoly.zero(), (1, 2, 2): NCPoly.zero()},
+        redhats={(1,): NCPoly.zero(), (1, 2): NCPoly.zero(), (2,): NCPoly.zero()},
+    )
+
+
+def fp_rank2(p, a11, a22, N1, N2):
+    """Rank two over F_p on Z_(p-1)^2 with q_11 = zeta^a11, q_22 = zeta^a22,
+    q_12 = q_11^-1 and q_21 = q_22^-1, L = {1, 2}, and redhats with group
+    parts that x_1 and x_2 pass with a nontrivial twist.  The redhats are
+    not homogeneous: only the heights matter to the Leibniz elements."""
+    f, m = PrimeField(p), p - 1
+    group = GroupSpec((m, m))
+    one = f.one()
+
+    def poly(*terms):
+        out = NCPoly()
+        for word, g, c in terms:
+            out.add_term((tuple((i,) for i in word), group.element(g)), f.element(c))
+        return out
+
+    return Datum(
+        theta=2, field=f, group=group,
+        g=(group.element((1, 0)), group.element((0, 1))),
+        chi=((a11, -a22 % m), (-a11 % m, a22)),
+        L=((1,), (2,)),
+        heights={(1,): N1, (2,): N2},
+        reds={(1, 2): NCPoly.zero()},
+        redhats={(1,): poly(((2,), (1, 0), 1), ((), (1, 1), 2)), (2,): poly(((1,), (0, 1), 1), ((), (1, 0), 3))},
+    ), poly
+
+
+FP_RANK2 = [(7, 2, 3, 3, 2), (5, 1, 2, 4, 2), (3, 1, 0, 2, 1)]  # p, a11, a22, ord q_11, ord q_22
+
+
+def test_leibniz_closed_form_is_the_nested_products_on_the_presets():
+    count = 0
+    for name in PRESET_NAMES:
+        count += assert_closed_form_is_the_nested_products(build_preset(name).datum)
+    assert count >= 40
+
+
+@pytest.mark.parametrize("N", [3, 5, 11, 31])
+def test_leibniz_closed_form_is_the_nested_products_on_a2_nichols(N):
+    assert assert_closed_form_is_the_nested_products(a2_nichols(N)) == 6
+
+
+@pytest.mark.parametrize("p,a11,a22,o1,o2", FP_RANK2)
+@pytest.mark.parametrize("power", [0, 1, 2])
+def test_leibniz_closed_form_is_the_nested_products_over_a_prime_field(p, a11, a22, o1, o2, power):
+    """Heights ord, p ord and p^2 ord: past ord q_uu the nested products drop
+    and re-place terms, and the closed form keeps their order."""
+    k = p**power
+    d, poly = fp_rank2(p, a11, a22, o1 * k, o2 * k)
+    for u, qexp in (((1,), d.q_exp((1,), (2,))), ((2,), d.q_exp((1,), (2,)))):
+        assert criterion._nested_weights(d, u, qexp)[1] is None  # the closed form
+    # chi_1(g1) and chi_2(g1) are nontrivial: every term of T has a twist
+    # to pass, and its words share no core x_u^a Y x_u^b between terms
+    T = poly(((2,), (1, 0), 1), ((1, 2), (1, 1), 2), ((), (0, 1), 3), ((2, 1, 2), (0, 0), 4), ((1, 1), (1, 0), 1))
+    assert d.chi_apply_exp(d.chi[0], (1, 0)) and d.chi_apply_exp(d.chi[1], (1, 0))
+    assert assert_closed_form_is_the_nested_products(d, {((1,), (2,)): T}) == 2
+
+
+@pytest.mark.parametrize("p,a11,a22,o1,o2", FP_RANK2)
+def test_leibniz_closed_form_has_the_value_of_the_nested_products_on_shared_words(p, a11, a22, o1, o2):
+    """Terms x_u^a Y x_u^b g of T with one Y and one g share words.  Past
+    ord q_uu in characteristic p a partial product can cancel such a word
+    and place it again later, so only the values must agree."""
+    rng = random.Random(p)
+    for k in (1, p, p * p):
+        d, poly = fp_rank2(p, a11, a22, o1 * k, o2 * k)
+        for _ in range(5):
+            terms = [
+                (tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 3))), (rng.randrange(p - 1), rng.randrange(p - 1)), rng.randrange(1, p))
+                for _ in range(rng.randint(1, 5))
+            ]
+            for _kind, _a, _b, got, want in closed_and_nested(d, {((1,), (2,)): poly(*terms)}):
+                assert got == want
+
+
+def test_leibniz_closed_form_replays_the_products_at_an_unvalidated_height():
+    """uq_sl2 with height 2 at x1, where ord q_11 = 3: the weights come from
+    the recurrence, at validate's heights from the closed form."""
+    d = build_preset("uq_sl2").datum
+    d = replace(d, heights={(1,): 2, (2,): 3})
+    assert d.validate() != []
+    assert criterion._nested_weights(d, (1,), d.q_exp((1,), (2,)))[1] is not None
+    assert criterion._nested_weights(d, (2,), d.q_exp((1,), (2,)))[1] is None
+    assert assert_closed_form_is_the_nested_products(d) == 2
+
+
+@pytest.mark.parametrize("heights", [(5, 3), (3, 7), (8, 4)])
+def test_leibniz_closed_form_replays_the_vanishing_partial_products(heights):
+    """Heights above ord q_uu = 3 that validate refuses: the partial
+    products lose the words whose Gaussian binomials vanish and place them
+    again later, over Q(zeta_3) and over F_7."""
+    d = replace(build_preset("uq_sl2").datum, heights={(1,): heights[0], (2,): heights[1]})
+    assert assert_closed_form_is_the_nested_products(d) == 2
+    d, poly = fp_rank2(7, 2, 2, *heights)
+    T = poly(((2,), (1, 0), 1), ((1, 2), (1, 1), 2), ((), (0, 1), 3), ((2, 1, 2), (0, 0), 4))
+    assert assert_closed_form_is_the_nested_products(d, {((1,), (2,)): T}) == 2
+
+
+def test_a2_nichols_at_height_301_is_checked_in_seconds():
+    d = a2_nichols(301)
+    start = time.perf_counter()
+    report = check_pbw(d)
+    elapsed = time.perf_counter() - start
+    assert report.passed and len(report.conditions) == 10
+    assert not any(c.used_fallback for c in report.conditions)
+    assert elapsed < 2.0, elapsed
 
 
 def test_check_pbw_passes_all_presets_both_modes():

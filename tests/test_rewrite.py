@@ -11,7 +11,7 @@ from pbw.algebra import NCPoly
 from pbw.criterion import _conditions, bracket_table
 from pbw.datumio import datum_from_dict, datum_to_dict
 from pbw.oracle import quotient_rank
-from pbw.presets import build_preset
+from pbw.presets import PRESET_NAMES, build_preset
 from pbw.rewrite import (
     build_rules,
     dimension,
@@ -220,6 +220,56 @@ def test_site_searches_are_linear_in_the_terms_handled(monkeypatch):
     normal_form(rs, a)
     assert counts["produced"] > 0
     assert counts["find_site"] <= len(a.terms) + counts["produced"]
+
+
+def slice_scan_site(rs, U, bound=None):
+    """Reference site search: at each position, slice out every power rule
+    and then every pair rule."""
+    if bound is not None and prec_cmp(U, bound) >= 0:
+        return None
+    powers = {lhs[0]: lhs for lhs in rs.rules if len(set(lhs)) == 1}
+    for i, u in enumerate(U):
+        power = powers.get(u)
+        if power is not None and U[i:i + len(power)] == power:
+            return (i, i + len(power))
+        if i + 1 < len(U) and U[i:i + 2] in rs.rules:
+            return (i, i + 2)
+    return None
+
+
+def run_words(d, rng, count):
+    """Words of a few runs of one letter each: a run of a finite-height
+    letter holds N_u - 1, N_u or N_u + 1 letters as often as 1 or 2."""
+    for _ in range(count):
+        U = ()
+        for _ in range(rng.randint(0, 5)):
+            u = rng.choice(d.L)
+            n = d.heights[u]
+            sizes = [1, 2] if n is None else [1, 2, max(n - 1, 1), n, n + 1]
+            U += (u,) * rng.choice(sizes)
+        yield U
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + ("uq_sl2_three_letters",))
+def test_run_site_search_matches_the_slice_scan(name):
+    from test_criterion import uq_sl2_three_letters
+
+    d = uq_sl2_three_letters() if name == "uq_sl2_three_letters" else build_preset(name).datum
+    rs = build_rules(d, bracket_table(d))
+    rng = random.Random(name)
+    words = list(run_words(d, rng, 150))
+    heights = {d.heights[u] for u in d.L}
+    if name == "uq_sl2_three_letters":
+        assert 1 in heights
+    if name == "lifting_a2_1a":
+        assert 2 in heights
+    found = 0
+    for U in words:
+        for bound in (None, U, rng.choice(words), U + (d.L[0],), U[1:]):
+            got = rs.find_site(U, bound)
+            assert got == slice_scan_site(rs, U, bound), (U, bound)
+            found += got is not None
+    assert found > 100
 
 
 def general(x):

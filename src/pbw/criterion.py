@@ -10,9 +10,9 @@ from itertools import accumulate
 
 from .algebra import NCPoly
 from .rewrite import RuleSystem, build_rules, normal_form, reduce_bounded
-from .oracle import span_contains
+from .oracle import span_contains  # noqa: F401  (the span reference's membership test)
 from .scalars import RootOfUnity, is_height_for_order
-from .words import format_word, shirshov_decompose, xlen
+from .words import format_word, greatest_first, shirshov_decompose, xlen
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +225,18 @@ def leibniz_gt_element(datum, table, v, u) -> NCPoly:
 # bounded membership
 # ---------------------------------------------------------------------------
 
+# The bounded span, built placement by placement and decided by
+# span_contains (bounded_span_elements, span_degree, span_cosets): the exact
+# reference against which the tests hold the diamond.  check_pbw does not
+# call it.
+#
 # Placement budget of bounded_span_elements: the placements a*lhs*b of at
 # most as many letters as the bound, counted before any word is built.  The
-# largest count in the test suites, the benchmark's check-tampered seeds 1-5
-# and CI is 4,107, for tampered uq_sl2 N = 9 (red_12 = 1 - g; 0.4 s).  At
-# N = 11 and 13 the counts are 20,491 and 98,315 (1.4 s and 6 s on a shared
-# 2-core x86-64 host); N = 15 is refused at 458,763 (35 s without the
-# limit), and so is b2_scaffold with red_122 = -x2 x2 x1 at 15,606,751,
-# where the span test ran for minutes.
+# largest count that the tests build is 4,107, for tampered uq_sl2 N = 9
+# (red_12 = 1 - g; 0.4 s).  At N = 11 and 13 the counts are 20,491 and
+# 98,315 (1.4 s and 6 s on a shared 2-core x86-64 host); N = 15 is refused
+# at 458,763 (35 s without the limit), and so is b2_scaffold with
+# red_122 = -x2 x2 x1 at 15,606,751, where the span test ran for minutes.
 MAX_SPAN_PLACEMENTS = 200_000
 
 
@@ -335,21 +339,47 @@ def span_cosets(rs: RuleSystem, a: NCPoly):
     return sorted({group.mul(g, k) for _U, g in a.terms for k in rs.subgroup})
 
 
-def in_bounded_ideal(rs: RuleSystem, a: NCPoly, bound):
-    """Membership test for the bounded span: deterministic bounded reduction
-    first; on a nonzero residue, the exact span test (finite groups only).
-    The span is built over the placements of the span degree of a, and in
-    the span cosets of a only: a placement in another coset of rs.subgroup
-    shares no monomial with a or with any placement that does.
+def overlap_sites(kind, bound):
+    """The two left-hand side sites of the bound word W whose overlap the
+    condition resolves: for jacobi (u, v, w) the pairs (u, v) and (v, w);
+    for leibniz_le the power u^N at 0 and the pair (u, v) at N - 1; for
+    leibniz_gt the pair (v, u) at 0 and the power u^N at 1; for
+    leibniz_self the power u^N at shifts 0 and 1."""
+    n = len(bound)
+    if kind == "jacobi":
+        return (0, 2), (1, 3)
+    if kind == "leibniz_le":
+        return (0, n - 1), (n - 2, n)
+    if kind == "leibniz_gt":
+        return (0, 2), (1, n)
+    return (0, n - 1), (1, n)
 
-    Returns (member, residue, used_fallback)."""
+
+def diamond_resolves(rs: RuleSystem, bound, sites):
+    """Bergman's diamond on the bound word W: whether the one-step
+    reductions of W at the two overlapping left-hand side sites have equal
+    normal forms, normal_form(rewrite_at(W, e, s1) - rewrite_at(W, e, s2))
+    == 0.  Raises ValueError past the rewrite limit of normal_form."""
+    W = tuple(tuple(u) for u in bound)
+    e = rs.datum.group.identity()
+    s1, s2 = sites
+    return normal_form(rs, rs.rewrite_at(W, e, s1) - rs.rewrite_at(W, e, s2)).is_zero()
+
+
+def in_bounded_ideal(rs: RuleSystem, a: NCPoly, bound, sites):
+    """Membership of a condition's element a in the span of the rule
+    elements placed below its bound word W, over any group: deterministic
+    bounded reduction first, and a nonzero residue decided by
+    diamond_resolves on the overlap sites of the condition.  A resolving
+    overlap puts a in the span.  A non-resolving one leaves a outside it
+    when every ambiguity below W resolves (the local form of Bergman's
+    argument); check_pbw marks the failures for which that is not known.
+
+    Returns (member, residue, used_diamond)."""
     residue = reduce_bounded(rs, a, bound)
     if residue.is_zero():
         return True, residue, False
-    if not rs.datum.group.is_finite():
-        return False, residue, False
-    elements = bounded_span_elements(rs, bound, span_degree(rs, a), span_cosets(rs, a))
-    return span_contains(elements, a), residue, True
+    return diamond_resolves(rs, bound, sites), residue, True
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +405,11 @@ class ConditionReport:
     passed: bool
     element: NCPoly     # the constructed test element
     residue: NCPoly     # what bounded reduction left of it
-    used_fallback: bool
+    used_diamond: bool  # whether the diamond decided a nonzero residue
+    bound: tuple        # the bound word W
+    # the least failing condition, when this one fails later in the order
+    # of the bounds: its failure may be inherited from that one
+    may_follow_from: str | None = None
 
     @property
     def residue_terms(self):
@@ -387,7 +421,9 @@ class ConditionReport:
 
     def line(self):
         status = "pass" if self.passed else "FAIL"
-        extra = ", span fallback" if self.used_fallback else ""
+        extra = ", diamond" if self.used_diamond else ""
+        if self.may_follow_from is not None:
+            extra += f", may follow from {self.may_follow_from}"
         res = "" if self.passed else f", residue terms: {self.residue_terms}"
         return f"{self.condition_id}: {status}{extra}{res}"
 
@@ -396,7 +432,8 @@ class ConditionReport:
             "id": self.condition_id,
             "status": "pass" if self.passed else "fail",
             "residue_terms": self.residue_terms,
-            "span_fallback": self.used_fallback,
+            "diamond": self.used_diamond,
+            "may_follow_from": self.may_follow_from,
         }
 
 
@@ -453,7 +490,9 @@ def _conditions(datum, table, mode):
 def check_pbw(datum, mode="full") -> PBWReport:
     """Evaluate the q-Jacobi and restricted q-Leibniz conditions; each test
     element must lie in the span of rule elements placed below its bound.
-    A span test refused past MAX_SPAN_PLACEMENTS raises ValueError, with the
+    A FAIL is exact for the least failing condition in the order of the
+    bounds; every other failing condition names it in may_follow_from.  A
+    normal form refused past MAX_NF_LETTERS raises ValueError, with the
     message prefixed by the condition's id."""
     if mode not in ("full", "reduced"):
         raise ValueError("mode must be 'full' or 'reduced'")
@@ -462,10 +501,17 @@ def check_pbw(datum, mode="full") -> PBWReport:
     conditions = []
     for kind, words, element, bound in _conditions(datum, table, mode):
         try:
-            ok, residue, fb = in_bounded_ideal(rules, element, bound)
+            ok, residue, diamond = in_bounded_ideal(rules, element, bound, overlap_sites(kind, bound))
         except ValueError as e:
             raise ValueError(f"{condition_id(kind, words)}: {e}") from e
-        conditions.append(ConditionReport(kind, words, ok, element, residue, fb))
+        conditions.append(ConditionReport(kind, words, ok, element, residue, diamond, bound))
+    failing = [c for c in conditions if not c.passed]
+    if failing:
+        # the least bound in the rewriting order comes last greatest first
+        least = max(failing, key=lambda c: greatest_first(c.bound))
+        for c in failing:
+            if c is not least:
+                c.may_follow_from = least.condition_id
     return PBWReport(mode, conditions, table)
 
 

@@ -9,8 +9,9 @@ Sizes are limited so that loading and validating any accepted file takes well
 under a second: the conductor m (the field builds one table, of the m powers
 x^j mod Phi_m; under 40 ms for every m up to the limit), the prime p (found
 prime by trial division), every finite height (the check builds words of
-N + 1 letters), and the order of the group's torsion part (the span fallback
-and the basis enumeration list every group element).
+N + 1 letters), and the order of the group's torsion part (the basis
+enumeration lists every group element, and quotient_rank those of its coset
+block).
 """
 
 from __future__ import annotations

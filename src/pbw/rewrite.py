@@ -3,7 +3,8 @@ word maps to its right-hand side.  Pair rules x_u x_v -> bracket rhs +
 q_{u,v} x_v x_u (u < v in L) have the super word (u, v) as left-hand side,
 power rules x_u^{N_u} -> redhat rhs the word (u,) * N_u.  A site is the span
 (i, cut) of a left-hand side inside a word, and `rewrite_at` is the one rule
-application, used by normal forms, bounded reduction and the bounded span.
+application, used by normal forms, bounded reduction, the diamond of the
+check and the bounded span.
 PBW monomial counting reads only the datum.
 
 On canonical monomials the termination order reduces to the well-founded
@@ -37,7 +38,8 @@ class RuleSystem:
         # per rule and character value, whatever the input
         self._twisted = {}
 
-    # Derived on first use, which is the first span fallback of the check.
+    # Derived on first use; only the bounded span reference of
+    # pbw.criterion reads them, check_pbw never does.
 
     @cached_property
     def subgroup(self):

@@ -12,13 +12,13 @@ from functools import reduce
 
 import pytest
 
-from pbw import cli, criterion
+from pbw import cli, criterion, rewrite
 from pbw.algebra import NCPoly
 from pbw.cli import main
-from pbw.datumio import MAX_CONDUCTOR, MAX_GROUP_ORDER, MAX_HEIGHT, MAX_PRIME, datum_to_dict, save_datum
+from pbw.datumio import MAX_CONDUCTOR, MAX_GROUP_ORDER, MAX_HEIGHT, MAX_PRIME, datum_to_dict, load_datum, save_datum
 from pbw.exprs import MAX_EXPR_DEGREE, MAX_EXPR_TERMS, ExprError, parse_expr
 from pbw.presets import PRESET_NAMES, build_preset
-from pbw.rewrite import MAX_NF_LETTERS
+from pbw.rewrite import MAX_NF_LETTERS, build_rules, reduce_bounded
 from pbw.words import MAX_LYNDON_WORDS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -194,22 +194,105 @@ def test_nf_refuses_a_rewrite_past_the_letter_limit(capsys, qplane_file):
     assert err == f"error: normal form rewrites more than {MAX_NF_LETTERS} letters\n"
 
 
-def test_check_refuses_a_span_test_past_the_placement_limit(capsys, tmp_path):
-    # valid, but leibniz(112;112<2) leaves a residue whose span test below
-    # its 16-letter bound has 15,606,751 placements; it ran for minutes
+def b2_repro(tmp_path):
+    """b2_scaffold with red_122 = -x2 x2 x1: valid, but not confluent."""
     raw = datum_to_dict(build_preset("b2_scaffold").datum)
     raw["reds"]["122"] = [{"word": ["2", "2", "1"], "grp": [0], "coeff": "-1"}]
     path = tmp_path / "b2_tampered.json"
     path.write_text(json.dumps(raw))
-    for extra in ((), ("--mode", "reduced", "--json")):
+    return path
+
+
+def test_span_reference_refuses_past_the_placement_limit(tmp_path):
+    # the span reference, run over the residues of the b2 repro in the
+    # check's order, decides the Jacobi residues and then refuses that of
+    # leibniz(112;112<2), in both modes: the span test below its 16-letter
+    # bound has 15,606,751 placements (it ran for minutes)
+    from test_criterion import span_reference
+
+    d = load_datum(b2_repro(tmp_path))
+    table = criterion.bracket_table(d)
+    rs = build_rules(d, table)
+    for mode in ("full", "reduced"):
         t0 = time.perf_counter()
-        code, out, err = run(capsys, "check", str(path), *extra)
+        refused = None
+        for kind, words, element, bound in criterion._conditions(d, table, mode):
+            if reduce_bounded(rs, element, bound).is_zero():
+                continue
+            try:
+                span_reference(rs, element, bound)
+            except ValueError as e:
+                refused = f"error: {criterion.condition_id(kind, words)}: {e}\n"
+                break
         assert time.perf_counter() - t0 < 5.0
-        assert code == 2 and out == ""
-        assert err == (
+        assert refused == (
             "error: leibniz(112;112<2): the span test below a bound of 16 letters needs 15606751 "
             f"placements, more than {criterion.MAX_SPAN_PLACEMENTS}\n"
         )
+
+
+def test_check_decides_the_b2_repro_in_seconds(capsys, tmp_path):
+    # the least failing condition in the order of the bounds, jacobi(1<112<2)
+    # (5 letters), is exact; the later failures name it
+    path = b2_repro(tmp_path)
+    for extra in ((), ("--mode", "reduced", "--json")):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "check", str(path), *extra)
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 1 and err == ""
+        if extra:
+            payload = json.loads(out)
+            assert payload["verdict"] == "fail" and payload["dimension"] == 3125
+            follows = [c["may_follow_from"] for c in payload["conditions"] if c["status"] == "fail"]
+            assert follows[0] is None and len(follows) > 1
+            assert set(follows[1:]) == {"jacobi(1<112<2)"}
+        else:
+            lines = out.splitlines()
+            assert lines[-1] == "FAIL, dim 3125"
+            failing = [line for line in lines if ": FAIL," in line]
+            assert failing[0] == "jacobi(1<112<2): FAIL, diamond, residue terms: 4"
+            assert len(failing) == 6
+            for line in failing[1:]:
+                assert ": FAIL, diamond, may follow from jacobi(1<112<2), residue terms: " in line
+
+
+def test_check_refuses_a_normal_form_past_the_letter_limit(capsys, monkeypatch, tmp_path):
+    # the diamond's normal form keeps the rewrite limit of pbw nf, and the
+    # refusal names the condition
+    d = build_preset("uq_sl2").datum
+    bad = NCPoly()
+    bad.add_term(((), (0,)), d.field.one())
+    bad.add_term(((), (1,)), -d.field.one())
+    path = tmp_path / "bad.json"
+    save_datum(replace(d, reds={(1, 2): bad}), path)
+    monkeypatch.setattr(rewrite, "MAX_NF_LETTERS", 2)
+    for extra in ((), ("--mode", "reduced", "--json")):
+        code, out, err = run(capsys, "check", str(path), *extra)
+        assert code == 2 and out == ""
+        assert err == "error: leibniz(1;1<2): normal form rewrites more than 2 letters\n"
+
+
+def test_check_names_the_condition_a_failure_may_follow_from(capsys, tmp_path):
+    # the order of the bounds, not of the lines: (1, 2, 2) precedes
+    # (1, 1, 2), so leibniz(2;1<2) is the exact failure
+    d = build_preset("uq_sl2").datum
+    bad = NCPoly()
+    bad.add_term(((), (0,)), d.field.one())
+    bad.add_term(((), (1,)), -d.field.one())
+    path = tmp_path / "bad.json"
+    save_datum(replace(d, reds={(1, 2): bad}), path)
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1
+    assert out.splitlines()[:4] == [
+        "leibniz(1;1=1): pass",
+        "leibniz(1;1<2): FAIL, diamond, may follow from leibniz(2;1<2), residue terms: 1",
+        "leibniz(2;2=2): pass",
+        "leibniz(2;1<2): FAIL, diamond, residue terms: 1",
+    ]
+    code, out, _ = run(capsys, "check", str(path), "--json")
+    assert [(c["diamond"], c["may_follow_from"]) for c in json.loads(out)["conditions"]] == [
+        (False, None), (True, "leibniz(2;1<2)"), (False, None), (True, None),
+    ]
 
 
 def test_expression_limits_admit_their_largest_values():

@@ -4,6 +4,7 @@ check itself on passing and broken data, and the redundancy toolkit."""
 import itertools
 import math
 import random
+import re
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -25,7 +26,9 @@ from pbw.criterion import (
     leibniz_gt_element,
     leibniz_le_element,
     leibniz_self_element,
+    diamond_resolves,
     in_bounded_ideal,
+    overlap_sites,
     span_cosets,
     span_degree,
 )
@@ -43,7 +46,7 @@ from pbw.presets import PRESET_NAMES, build_preset
 from pbw.rewrite import build_rules, dimension, normal_form, reduce_bounded
 from pbw.scalars import CycloField, PrimeField, format_scalar
 from pbw.datumio import datum_from_dict, datum_to_dict
-from pbw.words import greatest_first, prec_cmp, shirshov_decompose, xlen
+from pbw.words import c_set, greatest_first, prec_cmp, shirshov_decompose, xlen
 
 
 def rank2_scaffold(m, q11, q12, q21, q22, heights=None):
@@ -317,7 +320,8 @@ def test_leibniz_le_lifting_cancellation():
     tab = bracket_table(d)
     elem = leibniz_le_element(d, tab, (1,), (2,))
     rules = build_rules(d, tab)
-    member, residue, fb = in_bounded_ideal(rules, elem, ((1,), (1,), (2,)))
+    bound = ((1,), (1,), (2,))
+    member, residue, fb = in_bounded_ideal(rules, elem, bound, overlap_sites("leibniz_le", bound))
     assert member and residue.is_zero() and not fb
 
 
@@ -485,7 +489,7 @@ def test_a2_nichols_at_height_301_is_checked_in_seconds():
     report = check_pbw(d)
     elapsed = time.perf_counter() - start
     assert report.passed and len(report.conditions) == 10
-    assert not any(c.used_fallback for c in report.conditions)
+    assert not any(c.used_diamond for c in report.conditions)
     assert elapsed < 2.0, elapsed
 
 
@@ -577,11 +581,11 @@ def test_reduced_mode_drops_the_documented_conditions():
     assert "jacobi(112<12<2)" in reduced
 
 
-def tampered_uq_sl2(N=3):
+def tampered_uq_sl2(N=3, c=1):
     d = build_preset("uq_sl2", N=N).datum
     bad = NCPoly()
-    bad.add_term(((), (0,)), d.field.one())
-    bad.add_term(((), (1,)), -d.field.one())  # 1 - g instead of 1 - g^2
+    bad.add_term(((), (0,)), d.field.from_rational(c))
+    bad.add_term(((), (1,)), d.field.from_rational(-c))  # c (1 - g) instead of 1 - g^2
     return replace(d, reds={(1, 2): bad})
 
 
@@ -592,18 +596,38 @@ def test_tampered_datum_fails_with_witness():
     assert not rep.passed
     failing = [c for c in rep.conditions if not c.passed]
     assert failing and all(c.residue_terms > 0 for c in failing)
-    assert any(c.used_fallback for c in failing)  # the span test confirmed
+    assert any(c.used_diamond for c in failing)  # the diamond confirmed
     # equivalence with the dimension drop
     count = dimension(d)
     assert quotient_rank(d, margin=2) < count
 
 
-def tampered_lifting_a1xa1(N=2):
+def tampered_lifting_a1xa1(N=2, c=1):
     d = build_preset("lifting_a1xa1", N=N).datum
     bad = NCPoly()
-    bad.add_term(((), (0, 0)), d.field.one())
-    bad.add_term(((), (1, 0)), -d.field.one())  # 1 - g1 instead of 1 - g1 g2
+    bad.add_term(((), (0, 0)), d.field.from_rational(c))
+    bad.add_term(((), (1, 0)), d.field.from_rational(-c))  # c (1 - g1) instead of 1 - g1 g2
     return replace(d, reds={(1, 2): bad})
+
+
+def span_reference(rs, element, bound):
+    """The exact span test that the diamond is held against: membership of
+    element in the placements below the bound, built in its span degree and
+    span cosets only.  The span functions are looked up on the module, so
+    that a test can record their calls."""
+    span = criterion.bounded_span_elements(rs, bound, span_degree(rs, element), span_cosets(rs, element))
+    return criterion.span_contains(span, element)
+
+
+def span_reference_check(datum, mode="full"):
+    """The verdict of each condition of check_pbw, in its order, with a
+    nonzero bounded residue decided by span_reference (finite groups only)."""
+    table = bracket_table(datum)
+    rs = build_rules(datum, table)
+    return [
+        reduce_bounded(rs, element, bound).is_zero() or span_reference(rs, element, bound)
+        for _kind, _words, element, bound in criterion._conditions(datum, table, mode)
+    ]
 
 
 def span_elements_by_multiplication(rs, bound, degree=None, cosets=None):
@@ -648,7 +672,8 @@ def test_bounded_span_places_rule_elements_as_multiplication_does(monkeypatch):
     for d in (tampered_uq_sl2(), tampered_lifting_a1xa1()):
         before = len(calls)
         assert not check_pbw(d).passed
-        assert len(calls) > before  # the span fallback decided some condition
+        assert not all(span_reference_check(d))
+        assert len(calls) > before  # the span reference decided some condition
         # the unfiltered span, once per datum
         rs, bound = calls[before][:2]
         assert original(rs, bound) == span_elements_by_multiplication(rs, bound), bound
@@ -675,7 +700,9 @@ def test_span_degree_filter_keeps_the_placements_in_order(monkeypatch, make, N):
         return out
 
     monkeypatch.setattr(criterion, "bounded_span_elements", recording)
-    assert not check_pbw(make(N)).passed
+    d = make(N)
+    assert not check_pbw(d).passed
+    assert not all(span_reference_check(d))
     assert calls
     for rs, bound, degree, cosets, out in calls:
         d = rs.datum
@@ -698,7 +725,7 @@ def test_span_degree_filter_keeps_the_placements_in_order(monkeypatch, make, N):
     ids=["lifting_a1xa1-2", "lifting_a1xa1-3", "uq_sl2-3", "uq_sl2-5"],
 )
 def test_span_coset_filter_keeps_the_placements_that_meet_the_target(monkeypatch, make, N, index):
-    # the span test builds exactly the placements, filtered by degree only,
+    # the span reference builds exactly the placements, filtered by degree only,
     # that have a group part in a coset of H holding a group part of the
     # target, in their order; H is generated by the rule elements' group
     # parts and has index [G:H] = index
@@ -716,7 +743,9 @@ def test_span_coset_filter_keeps_the_placements_that_meet_the_target(monkeypatch
 
     monkeypatch.setattr(criterion, "bounded_span_elements", recording_build)
     monkeypatch.setattr(criterion, "span_contains", recording_contains)
-    assert not check_pbw(make(N)).passed
+    d = make(N)
+    assert not check_pbw(d).passed
+    assert not all(span_reference_check(d))
     assert spans and len(spans) == len(tests)
     for (rs, bound, degree, out), (elements, target) in zip(spans, tests):
         assert elements is out
@@ -811,15 +840,185 @@ def test_span_degree_guard_falls_back_on_an_unvalidated_datum():
     table = bracket_table(d)
     rs = build_rules(d, table)
     rep = check_pbw(d)
+    reference = span_reference_check(d)
     fell_back = 0
-    for (_kind, _words, element, bound), c in zip(criterion._conditions(d, table, "full"), rep.conditions):
+    conditions = criterion._conditions(d, table, "full")
+    for (_kind, _words, element, bound), c, ref in zip(conditions, rep.conditions, reference, strict=True):
         assert span_degree(rs, element) is None
-        if c.used_fallback and d.char_degree(element) is not None:
+        if c.used_diamond and d.char_degree(element) is not None:
             fell_back += 1
         member = reduce_bounded(rs, element, bound).is_zero() or unpruned_membership(rs, element, bound)
-        assert c.passed == member, c.condition_id
+        assert c.passed == member == ref, c.condition_id
     assert fell_back  # a homogeneous element whose span is still built unfiltered
     assert not rep.passed
+
+
+def a3_nichols(N, tamper=None):
+    """A3 Nichols data at ord q = N (odd): theta = 3, L = {1, 12, 123, 2,
+    23, 3}, q_ij = zeta^(a_ij) for the A3 Cartan matrix, G = Z_N^3 with the
+    generators g_i, all heights N, zero reds on the nine words of C(L) and
+    zero redhats.  tamper names one of A3_TAMPERINGS, a red set to one
+    term of its own degree."""
+    group = GroupSpec((N, N, N))
+    cartan = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+    L = ((1,), (1, 2), (1, 2, 3), (2,), (2, 3), (3,))
+    d = Datum(
+        theta=3, field=CycloField(N), group=group,
+        g=tuple(group.element(tuple(int(i == j) for j in range(3))) for i in range(3)),
+        chi=tuple(tuple(a % N for a in row) for row in cartan),
+        L=L,
+        heights={u: N for u in L},
+        reds={w: NCPoly.zero() for w in c_set(L)},
+        redhats={u: NCPoly.zero() for u in L},
+    )
+    if tamper is None:
+        return d
+    word, term, c = A3_TAMPERINGS[tamper]
+    return replace(d, reds=d.reds | {word: NCPoly({(term, group.identity()): d.field.from_rational(c)})})
+
+
+# name -> (red word, word of its one term, coefficient)
+A3_TAMPERINGS = {
+    "red_112": ((1, 1, 2), ((2,), (1,), (1,)), -1),        # -x2 x1 x1
+    "red_13": ((1, 3), ((3,), (1,)), 2),                    # 2 x3 x1
+    "red_1123": ((1, 1, 2, 3), ((2, 3), (1,), (1,)), -1),   # -x23 x1 x1
+}
+
+
+@pytest.mark.parametrize("N", [3, 5, 7])
+def test_a3_nichols_passes_in_both_modes(N):
+    d = a3_nichols(N)
+    assert d.validate() == []
+    for mode, count in (("full", 56), ("reduced", 45)):
+        report = check_pbw(d, mode)
+        assert report.passed and len(report.conditions) == count, mode
+        assert not any(c.used_diamond for c in report.conditions)
+
+
+# the least failing condition of each A3 tampering, at every N
+_A3_LEAST_FAILING = {
+    "red_112": "jacobi(1<12<3)",
+    "red_13": "jacobi(12<2<3)",
+    "red_1123": "jacobi(1<12<3)",
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(A3_TAMPERINGS))
+@pytest.mark.parametrize("N", [3, 5, 7])
+def test_a3_tamperings_are_decided_fail(N, tamper):
+    # the span reference decides only red_112 and red_13 at N = 3; it
+    # refuses red_1123 at N = 3 (1,427,330 placements) and all three at
+    # N = 5 (5.0 M to 4.8 G placements)
+    d = a3_nichols(N, tamper)
+    assert d.validate() == []
+    report = check_pbw(d)
+    assert not report.passed
+    failing = [c for c in report.conditions if not c.passed]
+    assert all(c.used_diamond for c in failing)
+    least = [c.condition_id for c in failing if c.may_follow_from is None]
+    assert least == [_A3_LEAST_FAILING[tamper]]
+    assert {c.may_follow_from for c in failing} == {None, least[0]}
+
+
+def radford_redhat(N=2, c=1):
+    """Radford with redhat_1 = c g: a power relation x1^N - c g of mixed
+    length, and of one character, since x1^N has the trivial one."""
+    d = build_preset("radford", N=N).datum
+    return replace(d, redhats={(1,): NCPoly({((), (1,)): d.field.from_rational(c)})})
+
+
+def tampered_a2_nichols(N, group=None):
+    """A2 Nichols data with red_112 = -x2 x1 x1."""
+    d = a2_nichols(N, group)
+    bad = NCPoly({(((2,), (1,), (1,)), d.group.identity()): d.field.from_rational(-1)})
+    return replace(d, reds=d.reds | {(1, 1, 2): bad})
+
+
+def test_infinite_group_residues_are_decided_by_the_diamond():
+    # the span needs a finite group and the diamond does not: over Z^2,
+    # where a nonzero residue alone used to be a FAIL, each is decided by
+    # the diamond, with the verdicts that the same data has over Z_3^2
+    for mode in ("full", "reduced"):
+        free = check_pbw(tampered_a2_nichols(3, GroupSpec((), 2)), mode).conditions
+        finite = check_pbw(tampered_a2_nichols(3), mode).conditions
+        assert [(c.passed, c.may_follow_from) for c in free] == [(c.passed, c.may_follow_from) for c in finite]
+        assert [c.condition_id for c in free if not c.passed] == [
+            "jacobi(1<12<2)", "leibniz(1;1<2)", "leibniz(12;1<12)",
+        ]
+        assert all(c.used_diamond == (c.residue_terms > 0) for c in free)
+
+
+def _agreement_data():
+    """(id, builder) of the data on which the diamond is held against the
+    span reference: the presets, the acceptance tamperings, the shapes of
+    the benchmark's tamperings, and A3 at N = 3 with red_112 and red_13."""
+    from test_acceptance import tampered_instances
+
+    data = [(name, lambda name=name: build_preset(name).datum) for name in PRESET_NAMES]
+    data += [(re.sub(r"\W+", "-", desc), lambda d=d: d) for desc, d, _margin in tampered_instances()]
+    data += [(f"uq_sl2-N{N}-red_12", lambda N=N: tampered_uq_sl2(N, Fraction(-3, 2))) for N in (3, 5, 7, 9)]
+    data += [(f"radford-N{N}-redhat_1", lambda N=N: radford_redhat(N, Fraction(2, 3))) for N in (2, 3, 4)]
+    data += [(f"lifting_a1xa1-N{N}-red_12", lambda N=N: tampered_lifting_a1xa1(N, 4)) for N in (2, 3)]
+    data += [("a2-N3-red_112", lambda: tampered_a2_nichols(3))]
+    data += [(f"a3-N3-{t}", lambda t=t: a3_nichols(3, t)) for t in ("red_112", "red_13")]
+    return data
+
+
+_AGREEMENT = _agreement_data()
+
+# The conditions whose element lies in the bounded span although their
+# overlap does not resolve.  A lower ambiguity fails there, so normal forms
+# depend on the order of the rewrites, and the FAIL is one that "may follow
+# from" the least failing condition.
+_SPAN_DISAGREES = {
+    "a2-N3-red_112": {"leibniz(12;1<12)"},
+    "a3-N3-red_112": {"leibniz(12;1<12)"},
+    "a3-N3-red_13": {"jacobi(12<23<3)"},
+}
+
+
+@pytest.mark.parametrize("desc,make", _AGREEMENT, ids=[desc for desc, _m in _AGREEMENT])
+def test_diamond_agrees_with_the_span_reference(desc, make):
+    # per condition, in both modes: the verdict of check_pbw, with its
+    # nonzero residues decided by the diamond, is that of the span
+    # reference, except on the failures marked as possibly inherited that
+    # _SPAN_DISAGREES lists; and the diamond's two sites are left-hand
+    # sides that overlap in the bound word and cover it
+    d = make()
+    table = bracket_table(d)
+    rs = build_rules(d, table)
+    reports = {mode: check_pbw(d, mode).conditions for mode in ("full", "reduced")}
+    # reduced mode keeps a subset of the full mode's elements and bounds
+    ids = [c.condition_id for c in reports["full"]]
+    reference = dict(zip(ids, span_reference_check(d, "full"), strict=True))
+    for mode, conditions in reports.items():
+        disagree = set()
+        for c in conditions:
+            s1, s2 = overlap_sites(c.kind, c.bound)
+            assert c.bound[s1[0]:s1[1]] in rs.rules and c.bound[s2[0]:s2[1]] in rs.rules, c.condition_id
+            assert 0 == s1[0] < s2[0] < s1[1] < s2[1] == len(c.bound), c.condition_id
+            if c.passed != reference[c.condition_id]:
+                assert not c.passed and c.may_follow_from is not None, (mode, c.condition_id)
+                disagree.add(c.condition_id)
+        assert disagree == _SPAN_DISAGREES.get(desc, set()), mode
+
+
+def test_every_overlap_of_the_presets_resolves_by_the_diamond():
+    # the diamond alone, without bounded reduction: on confluent data every
+    # condition's overlap resolves, although the two one-step reductions
+    # differ on most of them
+    differ = total = 0
+    for name in PRESET_NAMES:
+        d = build_preset(name).datum
+        table = bracket_table(d)
+        rs = build_rules(d, table)
+        e = d.group.identity()
+        for kind, words, _element, bound in criterion._conditions(d, table, "full"):
+            s1, s2 = overlap_sites(kind, bound)
+            assert diamond_resolves(rs, bound, (s1, s2)), (name, criterion.condition_id(kind, words))
+            differ += rs.rewrite_at(bound, e, s1) != rs.rewrite_at(bound, e, s2)
+            total += 1
+    assert total == 130 and differ == 94
 
 
 def _sparse_poly(field, terms):
@@ -991,15 +1190,6 @@ def test_quotient_rank_over_a_prime_field(name):
         assert quotient_rank(d, margin=margin) == count == reference_quotient_rank(d, margin), margin
 
 
-def radford_redhat_g():
-    """Radford N=2 with redhat_1 = g: a power relation x1^2 - g of mixed
-    length, and of one character, since x1^2 has the trivial one."""
-    d = build_preset("radford", N=2).datum
-    bad = NCPoly()
-    bad.add_term(((), (1,)), d.field.one())
-    return replace(d, redhats={(1,): bad})
-
-
 def test_verdict_matches_oracle_equivalence_both_directions():
     # at desk scale the verdict must coincide with "irreducible count equals
     # the independent rank", on passing and on broken data alike
@@ -1009,7 +1199,7 @@ def test_verdict_matches_oracle_equivalence_both_directions():
         (build_preset("uq_sl2").datum, 2),
         (build_preset("lifting_a1xa1", N=2).datum, 2),
         (tampered_uq_sl2(), 2),
-        (radford_redhat_g(), 3),
+        (radford_redhat(), 3),
     ]
     for datum, margin in instances:
         rep = check_pbw(datum)
@@ -1055,7 +1245,7 @@ def test_quotient_rank_matches_full_group_elimination(margin):
         ("taft", build_preset("taft", N=3).datum),
         ("uq_sl2", build_preset("uq_sl2", N=3).datum),
         ("lifting_a2_1a", build_preset("lifting_a2_1a").datum),
-        ("radford with redhat_1 = g", radford_redhat_g()),
+        ("radford with redhat_1 = g", radford_redhat()),
         ("radford N=3 with redhat_1 = x1 + g^3", replace(d, redhats={(1,): mixed})),
         ("tampered uq_sl2", tampered_uq_sl2()),
         # two power relations each, so rows grow on both sides of two seeds

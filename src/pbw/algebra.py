@@ -208,6 +208,7 @@ class Datum:
     _qexp: dict = dc_field(init=False, repr=False, compare=False)         # (i, j) -> exponent of q_ij
     _expansions: dict = dc_field(init=False, repr=False, compare=False)   # Lyndon word -> NCPoly
     _letter_chi: dict = dc_field(init=False, repr=False, compare=False)   # member of L -> its character
+    _products: dict = dc_field(init=False, repr=False, compare=False)     # (h, g) -> h g in the group
 
     def __post_init__(self):
         m = self.field.unit_order
@@ -218,6 +219,7 @@ class Datum:
         }
         object.__setattr__(self, "_qexp", qexp)
         object.__setattr__(self, "_expansions", {})
+        object.__setattr__(self, "_products", {})
         # members with a letter out of range or a character of the wrong
         # length are left to validate(); chi_word covers them on use
         n = self.group.nfactors
@@ -258,6 +260,14 @@ class Datum:
             chi = self._letter_chi.get(l)
             out = tuple([x + k * y for x, y in zip(out, chi if chi is not None else self.chi_word(l))])
         return out
+
+    def group_product(self, a, b):
+        """a b in the group, computed once per pair of elements for this
+        datum."""
+        p = self._products.get((a, b))
+        if p is None:
+            p = self._products[a, b] = self.group.mul(a, b)
+        return p
 
     def g_word(self, u):
         return reduce(self.group.mul, (self.g[i - 1] for i in u), self.group.identity())
@@ -306,17 +316,26 @@ class Datum:
         """(U g)(V h) = chi_V(g) (UV)(gh), term pair by term pair.  The right
         terms are twisted once per distinct left group element g, into rows
         (V, gh, chi_V(g) cb), so each term pair costs one scalar product."""
-        gmul = self.group.mul
         right = [(V, h, cb, self.word_chi(V)) for (V, h), cb in b.terms.items()]
         twisted = {}
-        out = NCPoly()
+        terms = {}
         for (U, g), ca in a.terms.items():
             row = twisted.get(g)
             if row is None:
-                row = twisted[g] = [(V, gmul(g, h), self.twist(cb, chi, g)) for V, h, cb, chi in right]
+                row = twisted[g] = [(V, self.group_product(g, h), self.twist(cb, chi, g)) for V, h, cb, chi in right]
             for V, gh, cb in row:
-                out.add_term((U + V, gh), ca * cb)
-        return out
+                # NCPoly.add_term, inlined; ca * cb is a product of nonzero scalars
+                mono = (U + V, gh)
+                cur = terms.get(mono)
+                if cur is None:
+                    terms[mono] = ca * cb
+                else:
+                    s = cur + ca * cb
+                    if s.is_zero():
+                        del terms[mono]
+                    else:
+                        terms[mono] = s
+        return NCPoly(terms)
 
     def q_commutator(self, a, b, q) -> NCPoly:
         """[a, b]_q = ab - q ba."""

@@ -206,7 +206,7 @@ def leibniz_le_element(datum, table, u, v) -> NCPoly:
 
 def leibniz_self_element(datum, u) -> NCPoly:
     """-[redhat_u, x_u] at trivial twist."""
-    return -datum.q_commutator(datum.redhats[u], datum.letter(u), datum.field.one())
+    return -_hat_bracket(datum, datum.redhats[u], u, datum.field.one(), left=True)
 
 
 def leibniz_gt_element(datum, table, v, u) -> NCPoly:

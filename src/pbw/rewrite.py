@@ -15,7 +15,8 @@ each one once.  A rewrite adds only monomials strictly below the one it
 removes, so the greatest live entry of the heap is always the greatest
 reducible monomial of the work polynomial: the steps, and the order in which
 terms enter the result, are those of rescanning every monomial after each
-step, at one site search per term added instead of per term present.
+step.  It costs one heap entry per monomial inserted and one site search
+per distinct word, instead of a search of every term present per step.
 """
 
 from __future__ import annotations
@@ -99,8 +100,14 @@ class RuleSystem:
                 (V, h, d.twist(c, chi_right, h)) for (V, h), c in self.rules[lhs].terms.items()
             ]
         # the rows have distinct (V, h), so the products are distinct monomials
-        gmul = d.group.mul
-        return NCPoly({(left + V + right, gmul(h, g)): c for V, h, c in rows})
+        out = {}
+        for V, h, c in rows:
+            # Datum.group_product, inlined
+            hg = d._products.get((h, g))
+            if hg is None:
+                hg = d._products[h, g] = d.group.mul(h, g)
+            out[left + V + right, hg] = c
+        return NCPoly(out)
 
 
 def _is_power(lhs):
@@ -129,10 +136,12 @@ def build_rules(datum, bracket_table) -> RuleSystem:
 # letters of the rewritten words summed over the steps of one normal form.
 # The parse limits of pbw.exprs do not bound this: quantum_plane x1^n*x2^n
 # takes n^2 steps on words of 2n letters.  x1^100*x2^100 rewrites 2.0 M
-# letters in 0.7 s and x1^200*x2^200 16 M in 5.4 s; uq_sl2 N = 13 (x1+x2)^14,
-# with larger scalars, 0.37 M in 1.6 s (one core of a 2-core x86 host,
-# Python 3.11).
+# letters in 0.37 s and x1^200*x2^200 16 M in 2.6 s; uq_sl2 N = 13
+# (x1+x2)^14, with larger scalars, 0.37 M in 1.0 s (one core of a shared
+# 2-core x86 host, Python 3.11).
 MAX_NF_LETTERS = 2_000_000
+
+_UNSEEN = object()
 
 
 def _reduce(rs: RuleSystem, a: NCPoly, bound, max_letters=None) -> NCPoly:
@@ -141,22 +150,32 @@ def _reduce(rs: RuleSystem, a: NCPoly, bound, max_letters=None) -> NCPoly:
     # heap entries (greatest_first(U), g, site): the least key is the
     # greatest reducible monomial; the group part breaks ties between equal
     # words, which fixes the term order in which the CLI prints the result.
-    # Each word's key is computed once per reduction.
-    keys = {}
+    # A monomial is pushed when it enters the work polynomial; a contribution
+    # to one already present changes only its coefficient.  `reducible` maps
+    # each word met to (key, site), or to None when it is not rewritten, so
+    # each word's site and key are found once per reduction.  Only input
+    # words are held against the bound (by key: U precedes the bound exactly
+    # when its key is greater), because every rewrite output precedes the
+    # word it replaces.
+    bound_key = None if bound is None else greatest_first(bound)
+    find_site = rs.find_site
+    reducible = {}
     heap = []
     for U, g in terms:
-        site = rs.find_site(U, bound)
-        if site is not None:
-            key = keys.get(U)
-            if key is None:
-                key = keys[U] = greatest_first(U)
-            heap.append((key, g, site))
+        if U not in reducible:
+            key = greatest_first(U)
+            site = None if bound_key is not None and key <= bound_key else find_site(U)
+            reducible[U] = None if site is None else (key, site)
+        entry = reducible[U]
+        if entry is not None:
+            heap.append((entry[0], g, entry[1]))
     heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
     letters = 0
     while heap:
-        (_, U), g, site = heapq.heappop(heap)
+        (_, U), g, site = heappop(heap)
         c = terms.pop((U, g), None)
-        if c is None:  # cancelled, or an earlier entry already rewrote it
+        if c is None:  # cancelled, or rewritten from an earlier entry
             continue
         letters += len(U)
         if max_letters is not None and letters > max_letters:
@@ -164,21 +183,21 @@ def _reduce(rs: RuleSystem, a: NCPoly, bound, max_letters=None) -> NCPoly:
         for m2, c2 in rs.rewrite_at(U, g, site).terms.items():
             # NCPoly.add_term, inlined; c * c2 is a product of nonzero scalars
             cur = terms.get(m2)
-            if cur is None:
-                terms[m2] = c * c2
-            else:
+            if cur is not None:
                 s = cur + c * c2
                 if s.is_zero():
                     del terms[m2]
                 else:
                     terms[m2] = s
+                continue
+            terms[m2] = c * c2
             V = m2[0]
-            site2 = rs.find_site(V, bound)
-            if site2 is not None:
-                key = keys.get(V)
-                if key is None:
-                    key = keys[V] = greatest_first(V)
-                heapq.heappush(heap, (key, m2[1], site2))
+            entry = reducible.get(V, _UNSEEN)
+            if entry is _UNSEEN:
+                site2 = find_site(V)
+                entry = reducible[V] = None if site2 is None else (greatest_first(V), site2)
+            if entry is not None:
+                heappush(heap, (entry[0], m2[1], entry[1]))
     return work
 
 

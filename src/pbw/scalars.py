@@ -331,6 +331,8 @@ class Cyclo:
     def __mul__(self, other):
         self._check(other)
         if other.root_exp is not None:
+            if self.root_exp is not None:
+                return self.field.root(self.root_exp + other.root_exp)
             return self.times_root(other.root_exp)
         if self.root_exp is not None:
             return other.times_root(self.root_exp)

@@ -315,6 +315,21 @@ def test_leibniz_self_examples():
     assert leibniz_self_element(d, (1,)).is_zero()
 
 
+def test_leibniz_self_element_is_the_q_commutator():
+    # the term-by-term bracket gives the terms, in their order, of the two
+    # smash products of -[redhat_u, x_u]_1
+    data = [build_preset(name).datum for name in PRESET_NAMES]
+    data += [build_preset("uq_sl2", N=N).datum for N in (5, 7, 9)]
+    checked = nonzero = 0
+    for d in data:
+        for u in d.d_set():
+            expected = -d.q_commutator(d.redhats[u], d.letter(u), d.field.one())
+            assert list(leibniz_self_element(d, u).terms.items()) == list(expected.terms.items()), u
+            checked += 1
+            nonzero += not expected.is_zero()
+    assert checked == 49 and nonzero == 7
+
+
 def test_leibniz_le_lifting_cancellation():
     d = build_preset("lifting_a1xa1", N=2).datum
     tab = bracket_table(d)

@@ -1,13 +1,14 @@
 """Rule construction, normal forms, bounded reduction, PBW enumeration,
 dimension and word counts, and the oracle cross-checks."""
 
+import itertools
 import random
 from functools import reduce
 
 import pytest
 
 from pbw import rewrite
-from pbw.algebra import NCPoly
+from pbw.algebra import GroupSpec, NCPoly
 from pbw.criterion import _conditions, bracket_table
 from pbw.datumio import datum_from_dict, datum_to_dict
 from pbw.oracle import quotient_rank
@@ -144,10 +145,12 @@ def test_reduce_bounded():
     assert blocked == d.monomial(((1,), (2,)))
 
 
-def rescan_reduce(rs, a, bound):
+def rescan_reduce(rs, a, bound, reinserted=None):
     """Reference reduction: after each rewrite, search every monomial for a
-    site and rewrite the greatest reducible one."""
+    site and rewrite the greatest reducible one.  Appends to `reinserted`
+    each monomial that a rewrite adds back after an earlier one cancelled it."""
     work = a.copy()
+    cancelled = set()
     while True:
         sites = {}
         for mono in work.terms:
@@ -159,14 +162,22 @@ def rescan_reduce(rs, a, bound):
         mono = min(sites, key=lambda m: (greatest_first(m[0]), m[1]))
         c = work.terms.pop(mono)
         for m2, c2 in rs.rewrite_at(mono[0], mono[1], sites[mono]).terms.items():
+            present = m2 in work.terms
             work.add_term(m2, c * c2)
+            if present and m2 not in work.terms:
+                cancelled.add(m2)
+            elif not present and m2 in cancelled and reinserted is not None:
+                reinserted.append(m2)
 
 
 def random_poly(d, rng):
     """A product of a few random sums of letters and group-likes, so that
     equal words with different group parts meet."""
     letters = list(d.L)
-    els = d.group.elements()
+    if d.group.is_finite():
+        els = d.group.elements()
+    else:
+        els = [d.group.element(e) for e in itertools.product((-1, 0, 1), repeat=d.group.nfactors)]
     factors = []
     for _ in range(rng.randint(1, 4)):
         f = NCPoly.zero()
@@ -180,23 +191,70 @@ def random_poly(d, rng):
     return reduce(d.mul, factors)
 
 
-PARITY_PRESETS = [("uq_sl2", {"N": 3}), ("uq_sl2", {"N": 5}), ("lifting_a2_2a", {}), ("b2_scaffold", {})]
+def nf_expand_power(d, rng, k=6):
+    """(z^a x1 + z^b x2 + z^c g1)^k with seeded exponents, the shape of the
+    benchmark's nf-expand inputs."""
+    m = d.field.unit_order
+    base = d.monomial(((1,),), None, d.field.root(rng.randrange(m)))
+    base = base + d.monomial(((2,),), None, d.field.root(rng.randrange(m)))
+    base = base + d.group_like(d.group.element((1,) + (0,) * (d.group.nfactors - 1)), d.field.root(rng.randrange(m)))
+    return reduce(d.mul, [base] * k)
 
 
-@pytest.mark.parametrize("name,kw", PARITY_PRESETS, ids=[f"{n}{kw.get('N', '')}" for n, kw in PARITY_PRESETS])
-def test_heap_reduction_matches_the_rescan_term_for_term(name, kw):
-    p, rs = rules_for(name, **kw)
-    d = p.datum
+def _tampered_uq_sl2():
+    from test_criterion import tampered_uq_sl2
+
+    return tampered_uq_sl2(5)
+
+
+def _a3_nichols_red_13():
+    from test_criterion import a3_nichols
+
+    return a3_nichols(3, "red_13")
+
+
+def _a2_nichols_over_z2():
+    from test_criterion import a2_nichols
+
+    return a2_nichols(5, GroupSpec((), 2))
+
+
+# id -> (datum builder, whether to add nf-expand-shaped powers).  The
+# tampered data are not confluent: rewrites cancel monomials that later
+# rewrites insert again.
+PARITY_DATA = {
+    "uq_sl23": (lambda: build_preset("uq_sl2", N=3).datum, False),
+    "uq_sl25": (lambda: build_preset("uq_sl2", N=5).datum, False),
+    "uq_sl27": (lambda: build_preset("uq_sl2", N=7).datum, True),
+    "lifting_a2_2a": (lambda: build_preset("lifting_a2_2a").datum, True),
+    "b2_scaffold": (lambda: build_preset("b2_scaffold").datum, False),
+    "uq_sl25_red12_1-g": (_tampered_uq_sl2, False),
+    "a3_nichols3_red13": (_a3_nichols_red_13, False),
+    "a2_nichols5_Z2": (_a2_nichols_over_z2, False),
+}
+
+
+@pytest.mark.parametrize("name", list(PARITY_DATA))
+def test_heap_reduction_matches_the_rescan_term_for_term(name):
+    make, powers = PARITY_DATA[name]
+    d = make()
+    rs = build_rules(d, bracket_table(d))
     rng = random.Random(73)
-    for _ in range(30):
-        a = random_poly(d, rng)
-        assert list(normal_form(rs, a).terms.items()) == list(rescan_reduce(rs, a, None).terms.items())
+    inputs = [random_poly(d, rng) for _ in range(30)]
+    if powers:
+        inputs += [nf_expand_power(d, rng) for _ in range(2)]
+    reinserted = []
+    for a in inputs:
+        expected = rescan_reduce(rs, a, None, reinserted)
+        assert list(normal_form(rs, a).terms.items()) == list(expected.terms.items())
     table = bracket_table(d)
     for _kind, _words, element, bound in _conditions(d, table, "full"):
         bound = tuple(tuple(u) for u in bound)
         for a in (element, random_poly(d, rng), random_poly(d, rng)):
-            got = reduce_bounded(rs, a, bound)
-            assert list(got.terms.items()) == list(rescan_reduce(rs, a, bound).terms.items())
+            expected = rescan_reduce(rs, a, bound, reinserted)
+            assert list(reduce_bounded(rs, a, bound).terms.items()) == list(expected.terms.items())
+    if name in ("uq_sl25_red12_1-g", "a3_nichols3_red13"):
+        assert reinserted  # a cancelled monomial was added back
 
 
 def test_site_searches_are_linear_in_the_terms_handled(monkeypatch):
@@ -220,6 +278,48 @@ def test_site_searches_are_linear_in_the_terms_handled(monkeypatch):
     normal_form(rs, a)
     assert counts["produced"] > 0
     assert counts["find_site"] <= len(a.terms) + counts["produced"]
+
+
+@pytest.mark.parametrize("name", ["lifting_a2_2a", "a3_nichols3_red13"])
+def test_bounded_reduction_searches_each_word_once(name, monkeypatch):
+    # per reduce_bounded: the bound is held only against the input terms,
+    # each distinct word gets one site search, and word lengths are summed
+    # once per distinct word and once for the bound
+    import pbw.words
+
+    d = PARITY_DATA[name][0]()
+    rs = build_rules(d, bracket_table(d))
+    counts = {"prec_cmp": 0, "find_site": 0, "xlen": 0}
+    words = set()
+    find_site, rewrite_at = rewrite.RuleSystem.find_site, rewrite.RuleSystem.rewrite_at
+
+    def counting(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    def recording_rewrite_at(self, U, g, site):
+        out = rewrite_at(self, U, g, site)
+        words.update(V for V, _h in out.terms)
+        return out
+
+    monkeypatch.setattr(rewrite, "prec_cmp", counting("prec_cmp", prec_cmp))
+    monkeypatch.setattr(pbw.words, "xlen", counting("xlen", xlen))
+    monkeypatch.setattr(rewrite.RuleSystem, "find_site", counting("find_site", find_site))
+    monkeypatch.setattr(rewrite.RuleSystem, "rewrite_at", recording_rewrite_at)
+    rewritten = 0
+    for _kind, _words, element, bound in _conditions(d, bracket_table(d), "full"):
+        for key in counts:
+            counts[key] = 0
+        words.clear()
+        words.update(U for U, _g in element.terms)
+        reduce_bounded(rs, element, bound)
+        assert counts["prec_cmp"] <= len(element.terms)
+        assert counts["find_site"] <= len(words)
+        assert counts["xlen"] <= len(words) + 1
+        rewritten += len(words) > len({U for U, _g in element.terms})
+    assert rewritten
 
 
 def slice_scan_site(rs, U, bound=None):

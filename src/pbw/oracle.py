@@ -25,48 +25,58 @@ class Echelon:
     """Incremental row echelon over an exact field; rows are sparse dicts
     keyed by orderable column labels, and the least label leads a row.
 
-    Unit leads and multipliers take no scalar work: a reduced row whose lead
-    is one becomes a pivot as it is, and a reduction step by one subtracts
-    the pivot's entries without multiplying them."""
+    pivots maps each pivot's lead column to the rest of its row, normalized
+    so that the lead is one and then negated: a list of (column, -value)
+    pairs, ready to add.  A reduction step pops the row's lead c and adds
+    c times those pairs into the row, or the pairs as they are when c is
+    one, so the lead costs no scalar work and each pivot entry at most one
+    product and one sum.  insert and contains reduce one copy of the
+    caller's row and leave the row itself unchanged."""
 
     def __init__(self):
         self.pivots = {}
 
     def _reduce(self, row):
-        row = dict(row)
+        """Reduce row in place (insert and contains pass their own copy);
+        the lead of what is left, or None when it reduced to zero."""
+        pivots = self.pivots
         while row:
             lead = min(row)
-            piv = self.pivots.get(lead)
+            piv = pivots.get(lead)
             if piv is None:
-                return row, lead
-            c = row[lead]
+                return lead
+            c = row.pop(lead)
             unit = c.is_one()
-            for k, v in piv.items():
+            for k, v in piv:
                 if not unit:
                     v = c * v
                 cur = row.get(k)
-                s = (cur - v) if cur is not None else -v
-                if s.is_zero():
-                    row.pop(k, None)
+                if cur is None:
+                    row[k] = v
                 else:
-                    row[k] = s
-        return None, None
+                    s = cur + v
+                    if s.is_zero():
+                        del row[k]
+                    else:
+                        row[k] = s
+        return None
 
     def insert(self, row) -> bool:
         """Add a row; True when it enlarged the span."""
-        red, lead = self._reduce(row)
-        if red is None:
+        row = dict(row)
+        lead = self._reduce(row)
+        if lead is None:
             return False
-        c = red[lead]
-        if not c.is_one():
-            inv = c.inverse()
-            red = {k: v * inv for k, v in red.items()}
-        self.pivots[lead] = red
+        c = row.pop(lead)
+        if c.is_one():
+            self.pivots[lead] = [(k, -v) for k, v in row.items()]
+        else:
+            inv = -c.inverse()
+            self.pivots[lead] = [(k, v * inv) for k, v in row.items()]
         return True
 
     def contains(self, row) -> bool:
-        red, _ = self._reduce(row)
-        return red is None
+        return self._reduce(dict(row)) is None
 
     @property
     def rank(self):
@@ -126,8 +136,8 @@ def span_contains(elements, target: NCPoly) -> bool:
 # Column budget of quotient_rank (words up to the truncation length times
 # |G|).  At margin 0 every preset has at most 5,100 columns (nichols_a1xa1
 # N1=4, N2=5) except b2_scaffold, with 2.7e9, and lifting_a2_1c, with
-# 524,224; lifting_a2_1b, with 4,599, takes 0.15-0.16 s and lifting_a2_4b
-# 0.03 s (Python 3.11, shared 2-core x86 host, best of 5).
+# 524,224; lifting_a2_1b, with 4,599, takes 0.075-0.085 s and lifting_a2_4b
+# 0.010-0.015 s (Python 3.11, shared 2-core x86 host, best of 7).
 MAX_ORACLE_COLUMNS = 100_000
 
 # Row budget of quotient_rank, counted before any row is built: the

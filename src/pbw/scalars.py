@@ -236,8 +236,9 @@ class Cyclo:
 
     root_exp is k when the element is known to be exactly zeta^k, and None
     otherwise.  Only exact operations set it: `CycloField.root` and `one`,
-    a rotation of a marked element and the product of two marked elements.
-    Equality and hashing ignore it."""
+    a rotation of a marked element, the product of two marked elements, the
+    negation of a marked element when m is even, and the inverse of
+    +-zeta^k when that is a power of zeta.  Equality and hashing ignore it."""
 
     __slots__ = ("field", "num", "den", "root_exp")
 
@@ -278,7 +279,8 @@ class Cyclo:
             raise TypeError("scalars from different fields")
 
     def __add__(self, other):
-        self._check(other)
+        if type(other) is not Cyclo or other.field is not self.field:
+            self._check(other)
         da, db = self.den, other.den
         if da == db:
             num = [a + b for a, b in zip(self.num, other.num)]
@@ -292,7 +294,8 @@ class Cyclo:
         )
 
     def __sub__(self, other):
-        self._check(other)
+        if type(other) is not Cyclo or other.field is not self.field:
+            self._check(other)
         da, db = self.den, other.den
         if da == db:
             num = [a - b for a, b in zip(self.num, other.num)]
@@ -306,7 +309,10 @@ class Cyclo:
         )
 
     def __neg__(self):
-        return Cyclo(self.field, tuple(-a for a in self.num), self.den)
+        k, field = self.root_exp, self.field
+        if k is not None and not field.m % 2:
+            return field.root(k + field.m // 2)  # -zeta^k = zeta^(k + m/2)
+        return Cyclo(field, tuple([-a for a in self.num]), self.den)
 
     def times_root(self, k: int):
         """self * zeta^k as a rotation: x^i goes to the power row of x^(i+k),
@@ -329,7 +335,8 @@ class Cyclo:
         return Cyclo(field, tuple(out), self.den)
 
     def __mul__(self, other):
-        self._check(other)
+        if type(other) is not Cyclo or other.field is not self.field:
+            self._check(other)
         if other.root_exp is not None:
             if self.root_exp is not None:
                 return self.field.root(self.root_exp + other.root_exp)
@@ -389,6 +396,8 @@ class Cyclo:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         field = self.field
+        if self.root_exp is not None:
+            return field.root(-self.root_exp)
         if self.is_rational():
             n = self.num[0]
             d = -self.den if n < 0 else self.den
@@ -396,6 +405,8 @@ class Cyclo:
         hit = field.root_multiple(self)
         if hit is not None:
             s, k = hit
+            if abs(s) == 1:
+                return field.root(-k) if s > 0 else -field.root(-k)
             # root(-k) has coprime integer entries (it is a unit of Z[zeta]),
             # so scaling it by the reduced fraction 1/s stays reduced
             d = -s.denominator if s < 0 else s.denominator

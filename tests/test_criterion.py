@@ -44,7 +44,7 @@ from pbw.oracle import (
 )
 from pbw.presets import PRESET_NAMES, build_preset
 from pbw.rewrite import build_rules, dimension, normal_form, reduce_bounded
-from pbw.scalars import CycloField, PrimeField, format_scalar
+from pbw.scalars import Cyclo, CycloField, PrimeField, format_scalar
 from pbw.datumio import datum_from_dict, datum_to_dict
 from pbw.words import c_set, greatest_first, prec_cmp, shirshov_decompose, xlen
 
@@ -1082,8 +1082,10 @@ def test_linked_component_elimination_follows_a_chain():
 
 
 class PlainEchelon:
-    """Row echelon that always multiplies by the lead and normalizes each
-    pivot, the reference for Echelon's unit fast paths."""
+    """Row echelon that always multiplies by the lead and keeps each pivot
+    as its whole normalized row: the reference for Echelon, and the
+    elimination of reference_quotient_rank, which so shares no code with
+    Echelon."""
 
     def __init__(self):
         self.pivots = {}
@@ -1126,17 +1128,31 @@ def _random_scalar(rng, field):
     if kind == 2:
         return field.from_rational(Fraction(rng.choice((2, -3, 5)), rng.choice((1, 2, 3))))
     if kind == 3:
-        return field.root(rng.randrange(field.unit_order)) * field.from_rational(rng.choice((1, -1)))
+        return _signed_root(rng, field)
     if isinstance(field, PrimeField):
         return field.element(rng.randrange(2, field.p - 1))
     return field.from_rational(Fraction(1, 3)) + field.root(1) * field.from_rational(2)
 
 
-@pytest.mark.parametrize("field", [CycloField(1), CycloField(12), PrimeField(7)], ids=repr)
+def _signed_root(rng, field):
+    return field.root(rng.randrange(field.unit_order)) * field.from_rational(rng.choice((1, -1)))
+
+
+def normalized_pivots(ech, field):
+    """Echelon's pivots as PlainEchelon keeps them: each lead maps to its
+    normalized row, the lead at one and the stored entries negated back."""
+    return {lead: {lead: field.one(), **{k: -v for k, v in piv}} for lead, piv in ech.pivots.items()}
+
+
+@pytest.mark.parametrize(
+    "field", [CycloField(1), CycloField(6), CycloField(12), PrimeField(7)], ids=repr
+)
 def test_unit_fast_paths_agree_with_plain_elimination(field):
     # rows are random over 8 columns, plus combinations of earlier rows so
-    # that reductions run to zero; unit leads and multipliers skip the
-    # scalar work, which must change no pivot, rank or membership
+    # that reductions run to zero; half the random rows lead with -1 or
+    # +-zeta^k.  Pivots stored without their lead, and unit leads and
+    # multipliers that skip the scalar work, must change no normalized
+    # pivot, rank or membership, nor any row the caller passed
     rng = random.Random(12)
     for _ in range(60):
         ech, ref = Echelon(), PlainEchelon()
@@ -1152,13 +1168,96 @@ def test_unit_fast_paths_agree_with_plain_elimination(field):
             else:
                 cols = rng.sample(range(8), rng.randrange(1, 5))
                 row = {k: _random_scalar(rng, field) for k in cols}
+                if rng.random() < 0.5:
+                    row[min(row)] = rng.choice((-field.one(), _signed_root(rng, field)))
             if row:
                 rows.append(row)
+                before = dict(row)
                 assert ech.insert(row) == ref.insert(row)
+                assert row == before
         assert ech.rank == len(ref.pivots)
-        assert ech.pivots == ref.pivots
+        assert normalized_pivots(ech, field) == ref.pivots
         for row in rows + [{k: _random_scalar(rng, field) for k in rng.sample(range(8), 3)}]:
+            before = dict(row)
             assert ech.contains(row) == ref.contains(row)
+            assert row == before
+
+
+def test_echelon_leaves_the_callers_rows_unchanged():
+    # every call below reduces by the pivot of column 0: the reduction works
+    # on a copy, and a stored pivot shares nothing with the row it came from
+    f = CycloField(6)
+    z, two = f.root(1), f.from_rational(2)
+    ech = Echelon()
+    pivot = {0: two, 1: z}
+    row = {0: z, 1: two, 2: f.one()}
+    member = {0: z, 1: z * z * f.from_rational(Fraction(1, 2))}  # z/2 times the pivot
+    rows = [dict(pivot), dict(row), dict(member)]
+    assert ech.insert(pivot)
+    assert not ech.contains(row)
+    assert ech.contains(member)
+    assert ech.insert(row)
+    assert not ech.insert(member)
+    assert [pivot, row, member] == rows
+    pivot[1] = f.one()
+    row.clear()
+    assert ech.rank == 2 and all(ech.contains(r) for r in rows)
+    assert not ech.contains({0: two, 1: f.one()})
+
+
+def test_echelon_step_does_scalar_work_only_on_the_row(monkeypatch):
+    # each call's scalar operations over Q(zeta_6), counted: a reduction step
+    # by the pivot of its lead pops the lead, so no sum or product computes
+    # the lead again; a multiplier of one makes no product; and each pivot
+    # entry costs at most one product and one sum
+    f = CycloField(6)
+    one, z, two = f.one(), f.root(1), f.from_rational(2)
+    a = two + z  # no multiple of a root of unity
+    p0 = {0: one, 2: a, 3: z}
+    p1 = {1: one, 3: two, 4: a}
+    zz = z * z
+    combo = {0: zz, 1: -one, 2: zz * a, 3: zz * z - two, 4: -a}  # zeta^2 p0 - p1
+    ech = Echelon()
+    assert ech.insert(p0) and ech.insert(p1)
+
+    calls = []
+    for name in ("__add__", "__sub__", "__mul__", "__neg__"):
+        def counted(self, *other, _name=name, _op=getattr(Cyclo, name)):
+            calls.append((_name, self, *other))
+            return _op(self, *other)
+
+        monkeypatch.setattr(Cyclo, name, counted)
+
+    def ops(call, *args):
+        calls.clear()
+        result = call(*args)
+        count = dict.fromkeys(("__add__", "__sub__", "__mul__", "__neg__"), 0)
+        for name, *_ in calls:
+            count[name] += 1
+        return result, count, list(calls)
+
+    # one step by one: two sums, nothing else
+    assert ops(ech.contains, p0)[:2] == (True, {"__add__": 2, "__sub__": 0, "__mul__": 0, "__neg__": 0})
+    # a step by zeta^2 and one by -1: one product and one sum per entry
+    result, count, made = ops(ech.contains, combo)
+    assert result and count == {"__add__": 4, "__sub__": 0, "__mul__": 4, "__neg__": 0}
+    leads = (combo[0], combo[1])
+    assert not any(x is c for name, *xs in made if name != "__mul__" for x in xs for c in leads)
+    assert not any(x.is_one() for name, *xs in made if name == "__mul__" for x in xs)
+    # fill-in: the two products land in empty columns, with no sum or sign
+    assert ops(ech.contains, {0: zz, 5: one})[:2] == (
+        False, {"__add__": 0, "__sub__": 0, "__mul__": 2, "__neg__": 0}
+    )
+    # a new pivot: entries times -1/lead, the lead itself untouched; with a
+    # lead of one, only the signs
+    result, count, made = ops(ech.insert, {5: z, 6: a, 7: two, 8: one})
+    assert result and count == {"__add__": 0, "__sub__": 0, "__mul__": 3, "__neg__": 1}
+    assert not any(x is z for name, *xs in made if name == "__mul__" for x in xs)
+    assert ops(ech.insert, {9: one, 10: a, 11: z})[:2] == (
+        True, {"__add__": 0, "__sub__": 0, "__mul__": 0, "__neg__": 2}
+    )
+    monkeypatch.undo()
+    assert normalized_pivots(ech, f)[5] == {5: one, 6: a * z.inverse(), 7: two * z.inverse(), 8: z.inverse()}
 
 
 def test_column_keys_sort_as_the_labels_and_extend_by_arithmetic():
@@ -1233,7 +1332,7 @@ def reference_quotient_rank(datum, margin=0):
     words = [w for n in range(max_len + 1) for w in itertools.product(letters, repeat=n)]
     gens = [r for r in ideal_generators_expanded(datum) if not r.is_zero()]
     homogeneous = all(datum.char_degree(r) is not None for r in gens)
-    ech = Echelon()
+    ech = PlainEchelon()
     for r in gens:
         deg = max(xlen(U) for U, _ in r.terms)
         for a, b in itertools.product(words, repeat=2):
@@ -1243,7 +1342,7 @@ def reference_quotient_rank(datum, margin=0):
                 row = reduce(datum.mul, [datum.group_like(lg), datum.monomial(a), r, datum.monomial(b)])
                 for h in els:
                     ech.insert(poly_row(datum.mul(row, datum.group_like(h))))
-    return len(words) * len(els) - ech.rank
+    return len(words) * len(els) - len(ech.pivots)
 
 
 @pytest.mark.parametrize("margin", [0, 2])

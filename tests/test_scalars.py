@@ -367,8 +367,10 @@ def test_root_markers_stay_exact_under_random_operations():
             pool = [f.one(), f.root(rng.randrange(m)), f.root(rng.randrange(m)), random_cyclo(f, rng)]
             for _ in range(8):
                 a, b = rng.choice(pool), rng.choice(pool)
-                op = rng.randrange(5)
-                if op == 0:
+                op = rng.randrange(6)
+                if op == 5:
+                    x = -a
+                elif op == 0:
                     x = a + b
                 elif op == 1:
                     x = a - b
@@ -385,6 +387,25 @@ def test_root_markers_stay_exact_under_random_operations():
                     assert x == f.root(x.root_exp) and 0 <= x.root_exp < m
                 pool.append(x)
     assert marked > 500  # the markers were exercised
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 12])
+def test_negation_and_inverse_keep_the_root_marker(m):
+    # -zeta^k = zeta^(k + m/2) when m is even; over odd m it is no power of
+    # zeta and stays unmarked.  The inverse of a marked element is marked,
+    # and so is that of an irrational +-zeta^k that is a power of zeta
+    f = CycloField(m)
+    for k in range(m):
+        z = f.root(k)
+        assert (-z).root_exp == ((k + m // 2) % m if m % 2 == 0 else None)
+        assert z.inverse().root_exp == (-k) % m
+        for x in (z, -z, unmarked(z), -unmarked(z)):
+            assert -x == unmarked(x) * f.from_rational(-1)
+            inv = x.inverse()
+            assert inv * x == f.one() == unmarked(inv) * unmarked(x)
+            assert inv.root_exp is None or inv == f.root(inv.root_exp)
+            if not x.is_rational() and any(x == f.root(j) for j in range(m)):
+                assert inv.root_exp is not None
 
 
 def test_root_markers_do_not_change_equality_or_hashing():

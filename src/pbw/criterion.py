@@ -373,7 +373,7 @@ def in_bounded_ideal(rs: RuleSystem, a: NCPoly, bound, sites):
     diamond_resolves on the overlap sites of the condition.  A resolving
     overlap puts a in the span.  A non-resolving one leaves a outside it
     when every ambiguity below W resolves (the local form of Bergman's
-    argument); check_pbw marks the failures for which that is not known.
+    argument), which is why check_pbw stops at the least failing condition.
 
     Returns (member, residue, used_diamond)."""
     residue = reduce_bounded(rs, a, bound)
@@ -400,40 +400,36 @@ def condition_id(kind, words):
 
 @dataclass
 class ConditionReport:
-    kind: str           # jacobi | leibniz_le | leibniz_self | leibniz_gt
+    kind: str               # jacobi | leibniz_le | leibniz_self | leibniz_gt
     words: tuple
-    passed: bool
-    element: NCPoly     # the constructed test element
-    residue: NCPoly     # what bounded reduction left of it
-    used_diamond: bool  # whether the diamond decided a nonzero residue
-    bound: tuple        # the bound word W
-    # the least failing condition, when this one fails later in the order
-    # of the bounds: its failure may be inherited from that one
-    may_follow_from: str | None = None
+    element: NCPoly         # the constructed test element
+    bound: tuple            # the bound word W
+    passed: bool | None = None     # None: not decided, above the least failure
+    residue: NCPoly | None = None  # what bounded reduction left of the element
+    used_diamond: bool = False     # whether the diamond decided a nonzero residue
 
     @property
     def residue_terms(self):
-        return len(self.residue.terms)
+        return None if self.residue is None else len(self.residue.terms)
 
     @property
     def condition_id(self):
         return condition_id(self.kind, self.words)
 
     def line(self):
+        if self.passed is None:
+            return f"{self.condition_id}: not decided"
         status = "pass" if self.passed else "FAIL"
         extra = ", diamond" if self.used_diamond else ""
-        if self.may_follow_from is not None:
-            extra += f", may follow from {self.may_follow_from}"
         res = "" if self.passed else f", residue terms: {self.residue_terms}"
         return f"{self.condition_id}: {status}{extra}{res}"
 
     def to_json(self):
         return {
             "id": self.condition_id,
-            "status": "pass" if self.passed else "fail",
+            "status": {True: "pass", False: "fail", None: "not decided"}[self.passed],
             "residue_terms": self.residue_terms,
             "diamond": self.used_diamond,
-            "may_follow_from": self.may_follow_from,
         }
 
 
@@ -490,28 +486,26 @@ def _conditions(datum, table, mode):
 def check_pbw(datum, mode="full") -> PBWReport:
     """Evaluate the q-Jacobi and restricted q-Leibniz conditions; each test
     element must lie in the span of rule elements placed below its bound.
-    A FAIL is exact for the least failing condition in the order of the
-    bounds; every other failing condition names it in may_follow_from.  A
-    normal form refused past MAX_NF_LETTERS raises ValueError, with the
-    message prefixed by the condition's id."""
+    The conditions are decided in the rewriting order of their bounds,
+    least first, ties in their listed order, up to the first failure; the
+    conditions above it stay not decided (passed None).  That FAIL is exact:
+    it is the least among the listed conditions, so every listed ambiguity
+    below its bound resolves.  A normal form refused past MAX_NF_LETTERS
+    raises ValueError, with the message prefixed by the condition's id."""
     if mode not in ("full", "reduced"):
         raise ValueError("mode must be 'full' or 'reduced'")
     table = bracket_table(datum)
     rules = build_rules(datum, table)
-    conditions = []
-    for kind, words, element, bound in _conditions(datum, table, mode):
+    conditions = [ConditionReport(*condition) for condition in _conditions(datum, table, mode)]
+    # greatest_first puts the least bound last; the reversed sort is stable
+    for c in sorted(conditions, key=lambda c: greatest_first(c.bound), reverse=True):
         try:
-            ok, residue, diamond = in_bounded_ideal(rules, element, bound, overlap_sites(kind, bound))
+            c.passed, c.residue, c.used_diamond = in_bounded_ideal(
+                rules, c.element, c.bound, overlap_sites(c.kind, c.bound))
         except ValueError as e:
-            raise ValueError(f"{condition_id(kind, words)}: {e}") from e
-        conditions.append(ConditionReport(kind, words, ok, element, residue, diamond, bound))
-    failing = [c for c in conditions if not c.passed]
-    if failing:
-        # the least bound in the rewriting order comes last greatest first
-        least = max(failing, key=lambda c: greatest_first(c.bound))
-        for c in failing:
-            if c is not least:
-                c.may_follow_from = least.condition_id
+            raise ValueError(f"{c.condition_id}: {e}") from e
+        if not c.passed:
+            break
     return PBWReport(mode, conditions, table)
 
 

@@ -203,7 +203,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self._error("expected a word of digits after 'x'", start)
-        return parse_word(self.text[start:self.pos])
+        try:
+            return parse_word(self.text[start:self.pos])
+        except ValueError as e:
+            self._error(str(e), start)
 
     def _scalar(self):
         start = self.pos

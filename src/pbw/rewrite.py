@@ -59,15 +59,12 @@ class RuleSystem:
             for U, _g in rhs.terms
         )
 
-    def find_site(self, U, bound=None):
+    def find_site(self, U):
         """Leftmost reducible site (i, cut) in the word U, power rules first
-        at each position; sites are admissible only when U precedes the
-        bound.  One pass over the runs of equal letters: a power site starts
-        at the first letter of a run of u exactly when the run holds at
-        least N_u letters, and a pair site can start only at a run's last
-        letter, because (u, u) is never a pair rule."""
-        if bound is not None and prec_cmp(U, bound) >= 0:
-            return None
+        at each position.  One pass over the runs of equal letters: a power
+        site starts at the first letter of a run of u exactly when the run
+        holds at least N_u letters, and a pair site can start only at a
+        run's last letter, because (u, u) is never a pair rule."""
         powers, rules = self._powers, self.rules
         n = len(U)
         i = 0

@@ -168,6 +168,14 @@ def test_nf_parse_error(capsys, qplane_file):
     assert "line 1" in err and "column" in err
 
 
+@pytest.mark.parametrize("expr,col", [("x0", 2), ("x10", 2), ("x1*x20", 5)])
+def test_nf_bad_letter_is_a_parse_error(capsys, qplane_file, expr, col):
+    code, out, err = run(capsys, "nf", qplane_file, expr)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: letters must be >= 1 in ")
+    assert err.endswith(f"(line 1, column {col})\n")
+
+
 @pytest.mark.parametrize("expr", [
     "(x1+x2)^16",                       # 65,536 terms, about 1 s to expand
     f"x1^{MAX_EXPR_DEGREE + 1}",
@@ -233,7 +241,7 @@ def test_span_reference_refuses_past_the_placement_limit(tmp_path):
 
 def test_check_decides_the_b2_repro_in_seconds(capsys, tmp_path):
     # the least failing condition in the order of the bounds, jacobi(1<112<2)
-    # (5 letters), is exact; the later failures name it
+    # (5 letters), is the one FAIL; the conditions above it are not decided
     path = b2_repro(tmp_path)
     for extra in ((), ("--mode", "reduced", "--json")):
         t0 = time.perf_counter()
@@ -243,22 +251,20 @@ def test_check_decides_the_b2_repro_in_seconds(capsys, tmp_path):
         if extra:
             payload = json.loads(out)
             assert payload["verdict"] == "fail" and payload["dimension"] == 3125
-            follows = [c["may_follow_from"] for c in payload["conditions"] if c["status"] == "fail"]
-            assert follows[0] is None and len(follows) > 1
-            assert set(follows[1:]) == {"jacobi(1<112<2)"}
+            assert [c["id"] for c in payload["conditions"] if c["status"] == "fail"] == ["jacobi(1<112<2)"]
+            undecided = [c for c in payload["conditions"] if c["status"] == "not decided"]
+            assert undecided and all(c["residue_terms"] is None and c["diamond"] is False for c in undecided)
         else:
             lines = out.splitlines()
             assert lines[-1] == "FAIL, dim 3125"
             failing = [line for line in lines if ": FAIL," in line]
-            assert failing[0] == "jacobi(1<112<2): FAIL, diamond, residue terms: 4"
-            assert len(failing) == 6
-            for line in failing[1:]:
-                assert ": FAIL, diamond, may follow from jacobi(1<112<2), residue terms: " in line
+            assert failing == ["jacobi(1<112<2): FAIL, diamond, residue terms: 4"]
+            assert any(line.endswith(": not decided") for line in lines)
 
 
 def test_check_refuses_a_normal_form_past_the_letter_limit(capsys, monkeypatch, tmp_path):
     # the diamond's normal form keeps the rewrite limit of pbw nf, and the
-    # refusal names the condition
+    # refusal names the least condition whose normal form was refused
     d = build_preset("uq_sl2").datum
     bad = NCPoly()
     bad.add_term(((), (0,)), d.field.one())
@@ -269,12 +275,13 @@ def test_check_refuses_a_normal_form_past_the_letter_limit(capsys, monkeypatch, 
     for extra in ((), ("--mode", "reduced", "--json")):
         code, out, err = run(capsys, "check", str(path), *extra)
         assert code == 2 and out == ""
-        assert err == "error: leibniz(1;1<2): normal form rewrites more than 2 letters\n"
+        assert err == "error: leibniz(2;1<2): normal form rewrites more than 2 letters\n"
 
 
-def test_check_names_the_condition_a_failure_may_follow_from(capsys, tmp_path):
-    # the order of the bounds, not of the lines: (1, 2, 2) precedes
-    # (1, 1, 2), so leibniz(2;1<2) is the exact failure
+def test_check_leaves_the_conditions_above_the_least_failure_not_decided(capsys, tmp_path):
+    # the order of the bounds, not of the lines: (2, 2, 2, 2) and
+    # (1, 2, 2, 2) precede (1, 1, 1, 2) and (1, 1, 1, 1), so leibniz(2;1<2)
+    # fails before the two conditions listed above it are decided
     d = build_preset("uq_sl2").datum
     bad = NCPoly()
     bad.add_term(((), (0,)), d.field.one())
@@ -283,15 +290,17 @@ def test_check_names_the_condition_a_failure_may_follow_from(capsys, tmp_path):
     save_datum(replace(d, reds={(1, 2): bad}), path)
     code, out, _ = run(capsys, "check", str(path))
     assert code == 1
-    assert out.splitlines()[:4] == [
-        "leibniz(1;1=1): pass",
-        "leibniz(1;1<2): FAIL, diamond, may follow from leibniz(2;1<2), residue terms: 1",
+    assert out.splitlines() == [
+        "leibniz(1;1=1): not decided",
+        "leibniz(1;1<2): not decided",
         "leibniz(2;2=2): pass",
         "leibniz(2;1<2): FAIL, diamond, residue terms: 1",
+        "verdict: FAIL (full mode, 4 conditions)",
+        "FAIL, dim 27",
     ]
     code, out, _ = run(capsys, "check", str(path), "--json")
-    assert [(c["diamond"], c["may_follow_from"]) for c in json.loads(out)["conditions"]] == [
-        (False, None), (True, "leibniz(2;1<2)"), (False, None), (True, None),
+    assert [(c["status"], c["residue_terms"], c["diamond"]) for c in json.loads(out)["conditions"]] == [
+        ("not decided", None, False), ("not decided", None, False), ("pass", 0, False), ("fail", 1, True),
     ]
 
 

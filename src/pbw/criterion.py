@@ -5,7 +5,8 @@ relation toolkit for rank-two and B2-shaped presentations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from itertools import accumulate
 
 from .algebra import NCPoly
@@ -339,22 +340,6 @@ def span_cosets(rs: RuleSystem, a: NCPoly):
     return sorted({group.mul(g, k) for _U, g in a.terms for k in rs.subgroup})
 
 
-def overlap_sites(kind, bound):
-    """The two left-hand side sites of the bound word W whose overlap the
-    condition resolves: for jacobi (u, v, w) the pairs (u, v) and (v, w);
-    for leibniz_le the power u^N at 0 and the pair (u, v) at N - 1; for
-    leibniz_gt the pair (v, u) at 0 and the power u^N at 1; for
-    leibniz_self the power u^N at shifts 0 and 1."""
-    n = len(bound)
-    if kind == "jacobi":
-        return (0, 2), (1, 3)
-    if kind == "leibniz_le":
-        return (0, n - 1), (n - 2, n)
-    if kind == "leibniz_gt":
-        return (0, 2), (1, n)
-    return (0, n - 1), (1, n)
-
-
 def diamond_resolves(rs: RuleSystem, bound, sites):
     """Bergman's diamond on the bound word W: whether the one-step
     reductions of W at the two overlapping left-hand side sites have equal
@@ -386,35 +371,26 @@ def in_bounded_ideal(rs: RuleSystem, a: NCPoly, bound, sites):
 # reports and the check itself
 # ---------------------------------------------------------------------------
 
-def condition_id(kind, words):
-    """The printed name of a condition, such as jacobi(1<12<2)."""
-    ws = [format_word(w) for w in words]
-    if kind == "jacobi":
-        return f"jacobi({'<'.join(ws)})"
-    if kind == "leibniz_le":
-        return f"leibniz({ws[0]};{ws[0]}<{ws[1]})"
-    if kind == "leibniz_self":
-        return f"leibniz({ws[0]};{ws[0]}={ws[0]})"
-    return f"leibniz({ws[1]};{ws[0]}<{ws[1]})"
-
-
 @dataclass
 class ConditionReport:
     kind: str               # jacobi | leibniz_le | leibniz_self | leibniz_gt
     words: tuple
-    element: NCPoly         # the constructed test element
+    condition_id: str       # the printed name, such as jacobi(1<12<2)
     bound: tuple            # the bound word W
+    sites: tuple            # the two left-hand side sites of W that overlap
+    build: partial = field(repr=False, compare=False)  # makes the element
     passed: bool | None = None     # None: not decided, above the least failure
     residue: NCPoly | None = None  # what bounded reduction left of the element
     used_diamond: bool = False     # whether the diamond decided a nonzero residue
 
+    @cached_property
+    def element(self) -> NCPoly:
+        """The test element, built on first use."""
+        return self.build()
+
     @property
     def residue_terms(self):
         return None if self.residue is None else len(self.residue.terms)
-
-    @property
-    def condition_id(self):
-        return condition_id(self.kind, self.words)
 
     def line(self):
         if self.passed is None:
@@ -458,29 +434,38 @@ class PBWReport:
 
 def _conditions(datum, table, mode):
     """The q-Jacobi conditions, then the restricted q-Leibniz conditions at
-    each u of finite height, as (kind, words, test element, bound word).
-    Reduced mode skips the conditions that the others imply."""
+    each u of finite height, as ConditionReports whose elements are built on
+    first use.  Reduced mode skips the conditions that the others imply."""
     L = datum.L
     members = set(L)
+    f = format_word
     for i, u in enumerate(L):
         for j in range(i + 1, len(L)):
             v = L[j]
             if mode == "reduced" and u + v in members and shirshov_decompose(u + v) == (u, v):
                 continue
             for w in L[j + 1:]:
-                yield "jacobi", (u, v, w), jacobi_element(datum, table, u, v, w), (u, v, w)
+                # the pairs uv and vw overlap in uvw
+                yield ConditionReport("jacobi", (u, v, w), f"jacobi({f(u)}<{f(v)}<{f(w)})", (u, v, w),
+                                      ((0, 2), (1, 3)), partial(jacobi_element, datum, table, u, v, w))
     for u in datum.d_set():
-        n = datum.heights[u]
-        yield "leibniz_self", (u,), leibniz_self_element(datum, u), (u,) * (n + 1)
+        n, fu = datum.heights[u], f(u)
+        # the power u^N at shifts 0 and 1 of u^(N+1)
+        yield ConditionReport("leibniz_self", (u,), f"leibniz({fu};{fu}={fu})", (u,) * (n + 1),
+                              ((0, n), (1, n + 1)), partial(leibniz_self_element, datum, u))
         for v in L:
             if v > u:
                 if mode == "reduced" and any(v == u + t for t in members):
                     continue
-                yield "leibniz_le", (u, v), leibniz_le_element(datum, table, u, v), (u,) * n + (v,)
+                # the power u^N at 0 and the pair uv at N - 1 of u^N v
+                yield ConditionReport("leibniz_le", (u, v), f"leibniz({fu};{fu}<{f(v)})", (u,) * n + (v,),
+                                      ((0, n), (n - 1, n + 1)), partial(leibniz_le_element, datum, table, u, v))
             elif v < u:
                 if mode == "reduced" and any(v == t + u for t in members):
                     continue
-                yield "leibniz_gt", (v, u), leibniz_gt_element(datum, table, v, u), (v,) + (u,) * n
+                # the pair vu at 0 and the power u^N at 1 of v u^N
+                yield ConditionReport("leibniz_gt", (v, u), f"leibniz({fu};{f(v)}<{fu})", (v,) + (u,) * n,
+                                      ((0, 2), (1, n + 1)), partial(leibniz_gt_element, datum, table, v, u))
 
 
 def check_pbw(datum, mode="full") -> PBWReport:
@@ -488,20 +473,20 @@ def check_pbw(datum, mode="full") -> PBWReport:
     element must lie in the span of rule elements placed below its bound.
     The conditions are decided in the rewriting order of their bounds,
     least first, ties in their listed order, up to the first failure; the
-    conditions above it stay not decided (passed None).  That FAIL is exact:
-    it is the least among the listed conditions, so every listed ambiguity
-    below its bound resolves.  A normal form refused past MAX_NF_LETTERS
-    raises ValueError, with the message prefixed by the condition's id."""
+    conditions above it stay not decided (passed None) and build no element.
+    That FAIL is exact: it is the least among the listed conditions, so
+    every listed ambiguity below its bound resolves.  A ValueError raised
+    while building or deciding a condition, such as a normal form refused
+    past MAX_NF_LETTERS, is raised again prefixed by the condition's id."""
     if mode not in ("full", "reduced"):
         raise ValueError("mode must be 'full' or 'reduced'")
     table = bracket_table(datum)
     rules = build_rules(datum, table)
-    conditions = [ConditionReport(*condition) for condition in _conditions(datum, table, mode)]
+    conditions = list(_conditions(datum, table, mode))
     # greatest_first puts the least bound last; the reversed sort is stable
     for c in sorted(conditions, key=lambda c: greatest_first(c.bound), reverse=True):
         try:
-            c.passed, c.residue, c.used_diamond = in_bounded_ideal(
-                rules, c.element, c.bound, overlap_sites(c.kind, c.bound))
+            c.passed, c.residue, c.used_diamond = in_bounded_ideal(rules, c.element, c.bound, c.sites)
         except ValueError as e:
             raise ValueError(f"{c.condition_id}: {e}") from e
         if not c.passed:

@@ -195,6 +195,8 @@ def load_datum(path) -> Datum:
 
 
 def save_datum(d: Datum, path):
+    """Write d to path, serialized in full first: a datum that cannot be
+    written leaves no partial file."""
+    text = json.dumps(datum_to_dict(d), indent=1, sort_keys=True)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(datum_to_dict(d), f, indent=1, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")

@@ -447,6 +447,8 @@ PRESET_NAMES = tuple(sorted(_BUILDERS))
 def build_preset(name, **params) -> Preset:
     if name not in _BUILDERS:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    for key in ("N", "N1", "N2", "m", "k"):
+        _need(isinstance(params.get(key, 0), int), f"parameter {key} must be an integer")
     builder, desc = _BUILDERS[name]
     b = builder(**params)
     datum = b.finish()

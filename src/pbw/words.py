@@ -140,12 +140,13 @@ def greatest_first(U):
 
 
 def parse_word(text: str):
-    """Word literal: a digit string like "112", or comma-separated indices."""
+    """Word literal: a digit string like "112", or comma-separated indices,
+    where a trailing comma is allowed ("10," is the one letter 10)."""
     text = text.strip()
     if not text:
         raise ValueError("empty word literal")
     if "," in text:
-        letters = tuple(int(p) for p in text.split(","))
+        letters = tuple(int(p) for p in text.removesuffix(",").split(","))
     else:
         if not text.isdigit():
             raise ValueError(f"bad word literal: {text!r}")
@@ -156,6 +157,8 @@ def parse_word(text: str):
 
 
 def format_word(u) -> str:
+    """The literal that parse_word reads back: digits while every letter is
+    at most 9, else comma-separated, a single letter with a trailing comma."""
     if any(x > 9 for x in u):
-        return ",".join(str(x) for x in u)
-    return "".join(str(x) for x in u)
+        return ",".join(map(str, u)) + "," * (len(u) == 1)
+    return "".join(map(str, u))

@@ -224,13 +224,13 @@ def test_span_reference_refuses_past_the_placement_limit(tmp_path):
     for mode in ("full", "reduced"):
         t0 = time.perf_counter()
         refused = None
-        for kind, words, element, bound in criterion._conditions(d, table, mode):
-            if reduce_bounded(rs, element, bound).is_zero():
+        for c in criterion._conditions(d, table, mode):
+            if reduce_bounded(rs, c.element, c.bound).is_zero():
                 continue
             try:
-                span_reference(rs, element, bound)
+                span_reference(rs, c.element, c.bound)
             except ValueError as e:
-                refused = f"error: {criterion.condition_id(kind, words)}: {e}\n"
+                refused = f"error: {c.condition_id}: {e}\n"
                 break
         assert time.perf_counter() - t0 < 5.0
         assert refused == (
@@ -391,6 +391,19 @@ def test_preset_refuses_a_malformed_parameter(capsys, param):
     code, out, err = run(capsys, "preset", "taft", "--param", param)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,param", [
+    ("quantum_plane", "k=1/2"), ("quantum_plane", "m=3/2"), ("taft", "N=5/2"),
+    ("nichols_a1xa1", "N1=3/2"), ("nichols_a1xa1", "N2=5/2"),
+])
+def test_preset_refuses_a_non_integer_parameter(capsys, tmp_path, name, param):
+    path = tmp_path / "out.json"
+    for output in ([], ["-o", str(path)]):
+        code, out, err = run(capsys, "preset", name, "--param", param, *output)
+        assert code == 2 and out == ""
+        assert err == f"error: parameter {param.split('=')[0]} must be an integer\n"
+    assert not path.exists()
 
 
 def test_redundant(capsys, tmp_path):

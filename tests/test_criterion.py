@@ -1,6 +1,7 @@
 """The bracket-reduction table, the Jacobi and Leibniz test elements, the
 check itself on passing and broken data, and the redundancy toolkit."""
 
+import collections
 import itertools
 import math
 import random
@@ -28,7 +29,6 @@ from pbw.criterion import (
     leibniz_self_element,
     diamond_resolves,
     in_bounded_ideal,
-    overlap_sites,
     span_cosets,
     span_degree,
 )
@@ -335,8 +335,9 @@ def test_leibniz_le_lifting_cancellation():
     tab = bracket_table(d)
     elem = leibniz_le_element(d, tab, (1,), (2,))
     rules = build_rules(d, tab)
-    bound = ((1,), (1,), (2,))
-    member, residue, fb = in_bounded_ideal(rules, elem, bound, overlap_sites("leibniz_le", bound))
+    c = next(c for c in criterion._conditions(d, tab, "full") if c.condition_id == "leibniz(1;1<2)")
+    assert c.bound == ((1,), (1,), (2,))
+    member, residue, fb = in_bounded_ideal(rules, elem, c.bound, c.sites)
     assert member and residue.is_zero() and not fb
 
 
@@ -640,8 +641,8 @@ def span_reference_check(datum, mode="full"):
     table = bracket_table(datum)
     rs = build_rules(datum, table)
     return [
-        reduce_bounded(rs, element, bound).is_zero() or span_reference(rs, element, bound)
-        for _kind, _words, element, bound in criterion._conditions(datum, table, mode)
+        reduce_bounded(rs, c.element, c.bound).is_zero() or span_reference(rs, c.element, c.bound)
+        for c in criterion._conditions(datum, table, mode)
     ]
 
 
@@ -789,7 +790,7 @@ def test_span_placements_are_counted_before_the_limit(monkeypatch):
     d = tampered_uq_sl2(N=5)
     table = bracket_table(d)
     rs = build_rules(d, table)
-    bounds = {bound for *_, bound in criterion._conditions(d, table, "full")}
+    bounds = {c.bound for c in criterion._conditions(d, table, "full")}
     assert len(bounds) == 4
     for bound in sorted(bounds):
         words, frontier = [()], [()]
@@ -833,8 +834,8 @@ def test_pruned_span_agrees_with_unpruned_elimination():
         rs = build_rules(d, table)
         conditions = {}
         for mode in ("full", "reduced"):
-            for kind, words, element, bound in criterion._conditions(d, table, mode):
-                conditions[(kind, words)] = element, bound
+            for c in criterion._conditions(d, table, mode):
+                conditions[(c.kind, c.words)] = c.element, c.bound
         for key, (element, bound) in conditions.items():
             if xlen(bound) > 4:
                 continue
@@ -857,8 +858,8 @@ def test_span_degree_guard_falls_back_on_an_unvalidated_datum():
     rep = check_pbw(d)
     reference = span_reference_check(d)
     fell_back = 0
-    conditions = criterion._conditions(d, table, "full")
-    for (_kind, _words, element, bound), c, ref in zip(conditions, rep.conditions, reference, strict=True):
+    for c, ref in zip(rep.conditions, reference, strict=True):
+        element, bound = c.element, c.bound
         assert span_degree(rs, element) is None
         if c.used_diamond and d.char_degree(element) is not None:
             fell_back += 1
@@ -935,6 +936,61 @@ def test_a3_tamperings_are_decided_fail(N, tamper):
     assert failing[0].used_diamond
 
 
+def count_element_builds(monkeypatch):
+    """Wrap the four element functions on pbw.criterion so that each call
+    is counted; returns the counter, keyed by function name."""
+    built = collections.Counter()
+    for name in ("jacobi_element", "leibniz_le_element", "leibniz_self_element", "leibniz_gt_element"):
+        def counted(*args, _fn=getattr(criterion, name), _name=name):
+            built[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(criterion, name, counted)
+    return built
+
+
+def test_only_the_decided_conditions_build_their_elements(monkeypatch):
+    # A3 N = 9 with red_13 = 2 x3 x1: the least failing condition has a
+    # 4-letter bound, so only it and the two conditions below it are
+    # decided, and the other 53 of the 56 elements are never built
+    d = a3_nichols(9, "red_13")
+    built = count_element_builds(monkeypatch)
+    report = check_pbw(d)
+    assert built == {"jacobi_element": 3}
+    assert [c.line() for c in report.conditions if c.passed is not None] == [
+        "jacobi(1<2<3): pass",
+        "jacobi(12<2<3): FAIL, diamond, residue terms: 2",
+        "jacobi(2<23<3): pass",
+    ]
+    assert report.lines()[-1] == "verdict: FAIL (full mode, 56 conditions)"
+    assert sum(line.endswith(": not decided") for line in report.lines()) == 53
+    assert all(("element" in vars(c)) == (c.passed is not None) for c in report.conditions)
+    # an element read after the check is built then, as the eager build made it
+    c = report.conditions[-1]
+    assert c.kind == "leibniz_gt" and c.passed is None
+    assert c.element == criterion.leibniz_gt_element(d, report.table, *c.words)
+    assert built == {"jacobi_element": 3, "leibniz_gt_element": 2}
+
+
+def test_a_value_error_while_building_an_element_names_the_condition(monkeypatch):
+    def broken(*args):
+        raise ValueError("cannot build")
+
+    monkeypatch.setattr(criterion, "jacobi_element", broken)
+    with pytest.raises(ValueError, match=r"^jacobi\(1<2<3\): cannot build$"):
+        check_pbw(a3_nichols(3))
+
+
+def test_every_condition_of_the_presets_builds_its_element(monkeypatch):
+    built = count_element_builds(monkeypatch)
+    for name in PRESET_NAMES:
+        d = build_preset(name).datum
+        for mode in ("full", "reduced"):
+            built.clear()
+            report = check_pbw(d, mode)
+            assert all(c.passed for c in report.conditions), (name, mode)
+            assert sum(built.values()) == len(report.conditions), (name, mode)
+
+
 def radford_redhat(N=2, c=1):
     """Radford with redhat_1 = c g: a power relation x1^N - c g of mixed
     length, and of one character, since x1^N has the trivial one."""
@@ -994,7 +1050,7 @@ def test_diamond_agrees_with_the_span_reference(desc, make):
     reference = dict(zip(ids, span_reference_check(d, "full"), strict=True))
     for mode, conditions in reports.items():
         for c in conditions:
-            s1, s2 = overlap_sites(c.kind, c.bound)
+            s1, s2 = c.sites
             assert c.bound[s1[0]:s1[1]] in rs.rules and c.bound[s2[0]:s2[1]] in rs.rules, c.condition_id
             assert 0 == s1[0] < s2[0] < s1[1] < s2[1] == len(c.bound), c.condition_id
             if c.passed is not None:
@@ -1061,10 +1117,10 @@ def test_every_overlap_of_the_presets_resolves_by_the_diamond():
         table = bracket_table(d)
         rs = build_rules(d, table)
         e = d.group.identity()
-        for kind, words, _element, bound in criterion._conditions(d, table, "full"):
-            s1, s2 = overlap_sites(kind, bound)
-            assert diamond_resolves(rs, bound, (s1, s2)), (name, criterion.condition_id(kind, words))
-            differ += rs.rewrite_at(bound, e, s1) != rs.rewrite_at(bound, e, s2)
+        for c in criterion._conditions(d, table, "full"):
+            s1, s2 = c.sites
+            assert diamond_resolves(rs, c.bound, (s1, s2)), (name, c.condition_id)
+            differ += rs.rewrite_at(c.bound, e, s1) != rs.rewrite_at(c.bound, e, s2)
             total += 1
     assert total == 130 and differ == 94
 

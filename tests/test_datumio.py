@@ -2,7 +2,9 @@
 
 import copy
 import json
+import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from pbw.algebra import Datum, GroupSpec, NCPoly
 from pbw.criterion import check_pbw
 from pbw.datumio import MAX_CONDUCTOR, DatumFormatError, datum_from_dict, datum_to_dict, load_datum, save_datum
 from pbw.presets import PRESET_NAMES, build_preset
-from pbw.scalars import PrimeField
+from pbw.scalars import CycloField, PrimeField, RootOfUnity
+from pbw.words import c_set
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -78,6 +81,57 @@ def test_scalar_literal_forms():
     d = datum_from_dict(data)
     coeff = next(iter(d.redhats[(1,)].terms.values()))
     assert coeff == d.field.from_rational("3/2")
+
+
+def wide_datum(rng):
+    """A valid datum over 10 to 12 letters: theta letters and one two-letter
+    Lyndon word in L, over Z/m with seeded characters, each height seeded as
+    infinite or ord q_uu, zero relations but one red_ij = zeta^k x_j x_i."""
+    theta, m = rng.randint(10, 12), rng.choice((2, 3, 4, 6))
+    group = GroupSpec((m,))
+    a, b = sorted(rng.sample(range(1, theta + 1), 2))
+    L = tuple(sorted([(i,) for i in range(1, theta + 1)] + [(a, b)]))
+    d = Datum(
+        theta=theta, field=CycloField(m), group=group,
+        g=tuple(group.element((rng.randrange(m),)) for _ in range(theta)),
+        chi=tuple((rng.randrange(m),) for _ in range(theta)),
+        L=L, heights={u: None for u in L}, reds={}, redhats={},
+    )
+    heights = {u: rng.choice((None, RootOfUnity(d.q_exp(u, u), m).order())) for u in L}
+    reds = {w: NCPoly.zero() for w in c_set(L)}
+    i, j = sorted(rng.sample(range(1, theta + 1), 2))
+    if (i, j) in reds:
+        reds[(i, j)] = NCPoly({(((j,), (i,)), group.identity()): d.field.root(rng.randrange(m))})
+    redhats = {u: NCPoly.zero() for u in L if heights[u] is not None}
+    return Datum(
+        theta=theta, field=d.field, group=group, g=d.g, chi=d.chi,
+        L=L, heights=heights, reds=reds, redhats=redhats,
+    )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_data_over_letters_above_9_round_trip_byte_identically(tmp_path, seed):
+    d = wide_datum(random.Random(seed))
+    assert d.validate() == []
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_datum(d, first)
+    d2 = load_datum(first)
+    assert (d2.L, d2.heights, d2.reds, d2.redhats) == (d.L, d.heights, d.reds, d.redhats)
+    save_datum(d2, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert (10,) in d.L and '"10,"' in first.read_text()
+
+
+def test_a_datum_that_cannot_be_written_leaves_no_file(tmp_path):
+    d = build_preset("quantum_plane").datum
+    d = Datum(
+        theta=d.theta, field=d.field, group=d.group, g=d.g, chi=((0,), (Fraction(1, 2),)),
+        L=d.L, heights=d.heights, reds=d.reds, redhats=d.redhats,
+    )
+    path = tmp_path / "qp.json"
+    with pytest.raises(TypeError):
+        save_datum(d, path)
+    assert not path.exists()
 
 
 def test_prime_field_datum_round_trips(tmp_path):

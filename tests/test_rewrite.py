@@ -250,9 +250,9 @@ def test_heap_reduction_matches_the_rescan_term_for_term(name):
         expected = rescan_reduce(rs, a, None, reinserted)
         assert list(normal_form(rs, a).terms.items()) == list(expected.terms.items())
     table = bracket_table(d)
-    for _kind, _words, element, bound in _conditions(d, table, "full"):
-        bound = tuple(tuple(u) for u in bound)
-        for a in (element, random_poly(d, rng), random_poly(d, rng)):
+    for c in _conditions(d, table, "full"):
+        bound = tuple(tuple(u) for u in c.bound)
+        for a in (c.element, random_poly(d, rng), random_poly(d, rng)):
             expected = rescan_reduce(rs, a, bound, reinserted)
             assert list(reduce_bounded(rs, a, bound).terms.items()) == list(expected.terms.items())
     if name in ("uq_sl25_red12_1-g", "a3_nichols3_red13"):
@@ -311,7 +311,8 @@ def test_bounded_reduction_searches_each_word_once(name, monkeypatch):
     monkeypatch.setattr(rewrite.RuleSystem, "find_site", counting("find_site", find_site))
     monkeypatch.setattr(rewrite.RuleSystem, "rewrite_at", recording_rewrite_at)
     rewritten = 0
-    for _kind, _words, element, bound in _conditions(d, bracket_table(d), "full"):
+    for c in _conditions(d, bracket_table(d), "full"):
+        element, bound = c.element, c.bound
         for key in counts:
             counts[key] = 0
         words.clear()

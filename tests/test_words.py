@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbw.words import (
     c_set,
@@ -179,3 +181,19 @@ def test_word_literals():
         parse_word("")
     with pytest.raises(ValueError):
         parse_word("1a2")
+    # a single letter above 9 carries a trailing comma; without it, 10 is
+    # the two letters 1 and 0
+    assert format_word((10,)) == "10,"
+    assert parse_word("10,") == (10,)
+    with pytest.raises(ValueError, match="letters must be >= 1"):
+        parse_word("10")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12).flatmap(lambda theta: st.lists(st.integers(1, theta), min_size=1, max_size=6)))
+def test_word_literals_round_trip(letters):
+    w = tuple(letters)
+    text = format_word(w)
+    assert parse_word(text) == w
+    # the digit form, unchanged, while every letter is at most 9
+    assert (text == "".join(map(str, w))) == (max(w) <= 9)

@@ -141,16 +141,15 @@ def greatest_first(U):
 
 def parse_word(text: str):
     """Word literal: a digit string like "112", or comma-separated indices,
-    where a trailing comma is allowed ("10," is the one letter 10)."""
+    where a trailing comma is allowed ("10," is the one letter 10).  Each
+    index is a nonempty run of ASCII digits."""
     text = text.strip()
     if not text:
         raise ValueError("empty word literal")
-    if "," in text:
-        letters = tuple(int(p) for p in text.removesuffix(",").split(","))
-    else:
-        if not text.isdigit():
-            raise ValueError(f"bad word literal: {text!r}")
-        letters = tuple(int(c) for c in text)
+    parts = text.removesuffix(",").split(",") if "," in text else text
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise ValueError(f"bad word literal: {text!r}")
+    letters = tuple(map(int, parts))
     if any(x < 1 for x in letters):
         raise ValueError(f"letters must be >= 1 in {text!r}")
     return letters

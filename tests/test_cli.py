@@ -1,6 +1,7 @@
 """The command-line front end: subcommands, exit codes, JSON mirrors."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -202,6 +203,26 @@ def test_nf_refuses_a_rewrite_past_the_letter_limit(capsys, qplane_file):
     assert err == f"error: normal form rewrites more than {MAX_NF_LETTERS} letters\n"
 
 
+NF_EXPRESSIONS = ("x2*x1", "(x1+x2+g1)^5", "(x2+g1)^4*(x1+g1)^3", "x2^3*x1^3")
+# SHA-256 of the [preset, expression, exit code, stdout, stderr] runs of
+# `pbw nf` below, as compact JSON.  The group generator makes terms with
+# equal words tie in the rewrite order, so a rewrite kernel that changes the
+# order in which their terms enter the result changes this digest.
+NF_PRESET_OUTPUTS = "b63780e612941dddb6b225aad4b9936716e7d5efade18afddb46935d27ffc49e"
+
+
+def test_nf_outputs_on_every_preset_match_the_recorded_digest(capsys, tmp_path):
+    runs = []
+    for name in PRESET_NAMES:
+        path = tmp_path / f"{name}.json"
+        save_datum(build_preset(name).datum, path)
+        for expr in NF_EXPRESSIONS:
+            runs.append([name, expr, *run(capsys, "nf", str(path), expr)])
+    assert sum(code == 0 for _name, _expr, code, _out, _err in runs) > 60
+    blob = json.dumps(runs, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == NF_PRESET_OUTPUTS
+
+
 def b2_repro(tmp_path):
     """b2_scaffold with red_122 = -x2 x2 x1: valid, but not confluent."""
     raw = datum_to_dict(build_preset("b2_scaffold").datum)
@@ -338,6 +359,12 @@ def test_lyndon_and_shirshov(capsys):
     assert code == 2
     code, _, err = run(capsys, "lyndon", "--theta", "0", "--max-len", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("literal", ["1,,2", "1,x", "\u00b2", "1_0,2", "+1,2"])
+def test_shirshov_refuses_a_bad_word_literal(capsys, literal):
+    code, out, err = run(capsys, "shirshov", literal)
+    assert (code, out, err) == (2, "", f"error: bad word literal: {literal!r}\n")
 
 
 def test_lyndon_refuses_a_count_past_the_limit(capsys):

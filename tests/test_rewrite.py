@@ -145,10 +145,13 @@ def test_reduce_bounded():
     assert blocked == d.monomial(((1,), (2,)))
 
 
-def rescan_reduce(rs, a, bound, reinserted=None):
+def rescan_reduce(rs, a, bound, reinserted=None, rewrite_at=None):
     """Reference reduction: after each rewrite, search every monomial for a
-    site and rewrite the greatest reducible one.  Appends to `reinserted`
-    each monomial that a rewrite adds back after an earlier one cancelled it."""
+    site and rewrite the greatest reducible one, by `rewrite_at` (default
+    rs.rewrite_at).  Appends to `reinserted` each monomial that a rewrite
+    adds back after an earlier one cancelled it."""
+    if rewrite_at is None:
+        rewrite_at = type(rs).rewrite_at
     work = a.copy()
     cancelled = set()
     while True:
@@ -163,7 +166,7 @@ def rescan_reduce(rs, a, bound, reinserted=None):
             return work
         mono = min(sites, key=lambda m: (greatest_first(m[0]), m[1]))
         c = work.terms.pop(mono)
-        for m2, c2 in rs.rewrite_at(mono[0], mono[1], sites[mono]).terms.items():
+        for m2, c2 in rewrite_at(rs, mono[0], mono[1], sites[mono]).terms.items():
             present = m2 in work.terms
             work.add_term(m2, c * c2)
             if present and m2 not in work.terms:
@@ -263,23 +266,28 @@ def test_site_searches_are_linear_in_the_terms_handled(monkeypatch):
     p, rs = rules_for("uq_sl2", N=3)
     d = p.datum
     a = reduce(d.mul, [d.letter((1,)) + d.letter((2,))] * 10)
-    counts = {"find_site": 0, "produced": 0}
-    find_site, rewrite_at = rewrite.RuleSystem.find_site, rewrite.RuleSystem.rewrite_at
+    # each planned word's rows count as its produced terms: the distinct
+    # words that its steps produce are at most that many
+    counts = {"find_site": 0, "produced": 0, "planned": 0}
+    find_site, rule_rows = rewrite.RuleSystem.find_site, rewrite.RuleSystem.rule_rows
 
     def counting_find_site(self, U):
         counts["find_site"] += 1
         return find_site(self, U)
 
-    def counting_rewrite_at(self, U, g, site):
-        out = rewrite_at(self, U, g, site)
-        counts["produced"] += len(out.terms)
-        return out
+    def counting_rule_rows(self, U, site):
+        rows, untwisted = rule_rows(self, U, site)
+        counts["planned"] += 1
+        counts["produced"] += len(rows)
+        return rows, untwisted
 
     monkeypatch.setattr(rewrite.RuleSystem, "find_site", counting_find_site)
-    monkeypatch.setattr(rewrite.RuleSystem, "rewrite_at", counting_rewrite_at)
+    monkeypatch.setattr(rewrite.RuleSystem, "rule_rows", counting_rule_rows)
     normal_form(rs, a)
     assert counts["produced"] > 0
     assert counts["find_site"] <= len(a.terms) + counts["produced"]
+    # a word's step is planned once, however many monomials carry it
+    assert counts["planned"] <= counts["find_site"]
 
 
 @pytest.mark.parametrize("name", ["lifting_a2_2a", "a3_nichols3_red13"])
@@ -293,7 +301,7 @@ def test_bounded_reduction_searches_each_word_once(name, monkeypatch):
     rs = build_rules(d, bracket_table(d))
     counts = {"prec_cmp": 0, "find_site": 0, "xlen": 0}
     words = set()
-    find_site, rewrite_at = rewrite.RuleSystem.find_site, rewrite.RuleSystem.rewrite_at
+    find_site, rule_rows = rewrite.RuleSystem.find_site, rewrite.RuleSystem.rule_rows
 
     def counting(key, fn):
         def wrapper(*args):
@@ -301,15 +309,17 @@ def test_bounded_reduction_searches_each_word_once(name, monkeypatch):
             return fn(*args)
         return wrapper
 
-    def recording_rewrite_at(self, U, g, site):
-        out = rewrite_at(self, U, g, site)
-        words.update(V for V, _h in out.terms)
-        return out
+    def recording_rule_rows(self, U, site):
+        # the words that the steps of U produce, whatever their group parts
+        rows, untwisted = rule_rows(self, U, site)
+        i, cut = site
+        words.update(U[:i] + V + U[cut:] for V, _h, _c in rows)
+        return rows, untwisted
 
     monkeypatch.setattr(rewrite, "prec_cmp", counting("prec_cmp", prec_cmp))
     monkeypatch.setattr(pbw.words, "xlen", counting("xlen", xlen))
     monkeypatch.setattr(rewrite.RuleSystem, "find_site", counting("find_site", find_site))
-    monkeypatch.setattr(rewrite.RuleSystem, "rewrite_at", recording_rewrite_at)
+    monkeypatch.setattr(rewrite.RuleSystem, "rule_rows", recording_rule_rows)
     rewritten = 0
     for c in _conditions(d, bracket_table(d), "full"):
         element, bound = c.element, c.bound
@@ -435,6 +445,8 @@ def test_rewrite_at_matches_a_per_term_reference(name):
     # at most one table entry per rule and character value mod unit_order
     m, n = d.field.unit_order, d.group.nfactors
     assert len(rs._twisted) <= len(rs.rules) * m**n
+    # and none for a rule whose right-hand side has no group part
+    assert not any(lhs in rs._untwisted for lhs, _chi in rs._twisted)
 
 
 def test_rule_systems_over_different_data_share_no_twist_table():
@@ -455,6 +467,41 @@ def test_rule_systems_over_different_data_share_no_twist_table():
                 assert rs.rewrite_at(U, g, site) == rewrite_at_reference(rs, U, g, site)
             differed += rs1.rewrite_at(U, g, site) != rs2.rewrite_at(U, g, site)
     assert differed > 0
+
+
+# each datum with the left-hand sides of its rules whose right-hand side
+# has a group part
+TWIST_DATA = {
+    "uq_sl25_red12_1-g": (_tampered_uq_sl2, [((1,), (2,))]),
+    "lifting_a2_2a": (
+        lambda: build_preset("lifting_a2_2a").datum,
+        [((1, 2), (2,)), ((1,), (1,), (1,)), ((1, 2), (1, 2)), ((2,), (2,))],
+    ),
+    "quantum_plane": (lambda: build_preset("quantum_plane").datum, []),
+    "b2_scaffold": (lambda: build_preset("b2_scaffold").datum, []),
+    "uq_sl2_F7": (uq_sl2_over_f7, [((1,), (2,))]),
+    "a3_nichols3_red13": (_a3_nichols_red_13, []),
+}
+
+
+@pytest.mark.parametrize("name", list(TWIST_DATA))
+def test_reduction_without_twists_matches_an_always_twisting_rescan(name):
+    # rules with no group part skip the twist: normal forms and bounded
+    # reductions equal, term for term, a rescan that twists every right-hand
+    # side term by a character read letter by letter off the right context
+    make, twisted = TWIST_DATA[name]
+    d = make()
+    rs = build_rules(d, bracket_table(d))
+    assert [lhs for lhs in rs.rules if lhs not in rs._untwisted] == twisted
+    rng = random.Random(name)
+    for a in [random_poly(d, rng) for _ in range(12)]:
+        expected = rescan_reduce(rs, a, None, rewrite_at=rewrite_at_reference)
+        assert list(normal_form(rs, a).terms.items()) == list(expected.terms.items())
+    for c in _conditions(d, bracket_table(d), "full"):
+        bound = tuple(tuple(u) for u in c.bound)
+        for a in (c.element, random_poly(d, rng)):
+            expected = rescan_reduce(rs, a, bound, rewrite_at=rewrite_at_reference)
+            assert list(reduce_bounded(rs, a, bound).terms.items()) == list(expected.terms.items())
 
 
 def test_normal_form_refuses_past_the_letter_limit(monkeypatch):

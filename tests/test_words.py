@@ -189,6 +189,23 @@ def test_word_literals():
         parse_word("10")
 
 
+@pytest.mark.parametrize("text", ["1,,2", "1,x", "\u00b2", "1\u00b2", "1_0,2", "+1,2", "1,-2", ",", "1,2,,", "1, 2", "\uff11,2"])
+def test_word_literal_indices_are_ascii_digit_runs(text):
+    # int() would read "1_0" as 10, "+1" as 1 and " 2" as 2, and fail on the
+    # empty part of "1,,2" with its own message
+    with pytest.raises(ValueError) as e:
+        parse_word(text)
+    assert str(e.value) == f"bad word literal: {text!r}"
+
+
+def test_word_literal_comma_forms():
+    assert parse_word("1,10,2") == (1, 10, 2)
+    assert parse_word("10,") == (10,)
+    assert parse_word("3,") == (3,)
+    assert parse_word(" 12,1 ") == (12, 1)
+    assert parse_word("007,") == (7,)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 12).flatmap(lambda theta: st.lists(st.integers(1, theta), min_size=1, max_size=6)))
 def test_word_literals_round_trip(letters):

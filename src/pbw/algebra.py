@@ -10,10 +10,12 @@ is always rightmost, with g * x_u = chi_u(g) x_u g baked into multiplication.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
+from operator import mod, mul
 
-from .scalars import RootOfUnity, is_height_for_order
+from .scalars import is_height_for_order
 from .words import c_set, format_word, greatest_first, is_shirshov_closed, shirshov_decompose, xlen
 
 
@@ -25,19 +27,17 @@ from .words import c_set, format_word, greatest_first, is_shirshov_closed, shirs
 class GroupSpec:
     torsion: tuple[int, ...] = ()
     free_rank: int = 0
-    # derived: the modulus of each factor, 0 for a free one
+    # derived: the modulus of each factor, 0 for a free one, and their number
     _moduli: tuple = dc_field(init=False, repr=False, compare=False)
+    nfactors: int = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if any(m < 2 for m in self.torsion):
+        if min(self.torsion, default=2) < 2:
             raise ValueError("torsion orders must be >= 2")
         if self.free_rank < 0:
             raise ValueError("free rank must be >= 0")
         object.__setattr__(self, "_moduli", tuple(self.torsion) + (0,) * self.free_rank)
-
-    @property
-    def nfactors(self):
-        return len(self.torsion) + self.free_rank
+        object.__setattr__(self, "nfactors", len(self._moduli))
 
     def is_finite(self):
         return self.free_rank == 0
@@ -57,7 +57,8 @@ class GroupSpec:
         exps = tuple(exps)
         if len(exps) != self.nfactors:
             raise ValueError("wrong number of exponents")
-        return tuple(e % m if m else e for e, m in zip(exps, self._moduli))
+        # torsion exponents reduced, free ones as they are
+        return tuple(map(mod, exps, self.torsion)) + exps[len(self.torsion):]
 
     def mul(self, a, b):
         """Product of two elements, both already in normal form."""
@@ -213,7 +214,7 @@ class Datum:
     def __post_init__(self):
         m = self.field.unit_order
         qexp = {
-            (i + 1, j + 1): sum(k * x for k, x in zip(self.chi[j], self.g[i])) % m
+            (i + 1, j + 1): sum(map(mul, self.chi[j], self.g[i])) % m
             for i in range(self.theta)
             for j in range(self.theta)
         }
@@ -223,12 +224,8 @@ class Datum:
         # members with a letter out of range or a character of the wrong
         # length are left to validate(); chi_word covers them on use
         n = self.group.nfactors
-        letter_chi = {
-            u: self.chi_word(u)
-            for u in self.L
-            if all(1 <= i <= len(self.chi) and len(self.chi[i - 1]) == n for i in u)
-        }
-        object.__setattr__(self, "_letter_chi", letter_chi)
+        letters = {i for i, chi in enumerate(self.chi, 1) if len(chi) == n}
+        object.__setattr__(self, "_letter_chi", {u: self.chi_word(u) for u in self.L if letters.issuperset(u)})
 
     # -- bicharacter ---------------------------------------------------
 
@@ -360,7 +357,7 @@ class Datum:
             d = self.word_chi(U)
             if deg is None:
                 deg = d
-            elif not self.chi_eq(deg, d):
+            elif d != deg and not self.chi_eq(deg, d):
                 return None
         return deg
 
@@ -442,11 +439,12 @@ class Datum:
             return errors
         if list(self.L) != sorted(self.L):
             errors.append("L must be sorted lexicographically")
-        if len(set(self.L)) != len(self.L):
+        members = set(self.L)
+        if len(members) != len(self.L):
             errors.append("L contains duplicate members")
-        m = self.field.unit_order
+        m, nf = self.field.unit_order, self.group.nfactors
         for i, chi in enumerate(self.chi):
-            if len(chi) != self.group.nfactors:
+            if len(chi) != nf:
                 errors.append(f"chi_{i + 1} has the wrong number of factor values")
                 continue
             for f, k in enumerate(chi):
@@ -454,7 +452,7 @@ class Datum:
                     errors.append(
                         f"chi_{i + 1} value on factor {f + 1} has order not dividing {self.group.torsion[f]}"
                     )
-        if set(self.heights) != set(self.L):
+        if self.heights.keys() != members:
             errors.append("heights must be given for exactly the members of L")
             return errors
         p = self.field.characteristic
@@ -466,7 +464,7 @@ class Datum:
                 errors.append(f"height of {format_word(u)} must be >= 1")
                 continue
             # q_uu is the root zeta^q_exp(u, u), so its order is read off the exponent
-            r = RootOfUnity(self.q_exp(u, u), m).order()
+            r = m // math.gcd(m, self.q_exp(u, u))
             if is_height_for_order(n, r, p):
                 continue
             if p == 0:
@@ -474,37 +472,36 @@ class Datum:
             else:
                 errors.append(f"height {n} of {format_word(u)} is not p^k * ord q_uu (ord = {r}, p = {p})")
         cs = c_set(self.L)
-        if set(self.reds) != set(cs):
+        c_members = set(cs)
+        if self.reds.keys() != c_members:
             errors.append(
                 f"reds must be given for exactly C(L) = {{{', '.join(format_word(w) for w in cs)}}}"
             )
         ds = self.d_set()
-        if set(self.redhats) != set(ds):
+        d_members = set(ds)
+        if self.redhats.keys() != d_members:
             errors.append(
                 f"redhats must be given for exactly the finite-height members {{{', '.join(format_word(w) for w in ds)}}}"
             )
+        # a zero right-hand side meets every constraint
         for w, a in self.reds.items():
-            if w not in set(cs):
-                continue
-            self._check_rhs(errors, a, "red", w, self.chi_word(w), (w,))
+            if a.terms and w in c_members:
+                self._check_rhs(errors, members, a, "red", w, (w,))
         for u, a in self.redhats.items():
-            if u not in set(ds):
-                continue
-            n = self.heights[u]
-            chi_target = tuple(k * n for k in self.chi_word(u))
-            self._check_rhs(errors, a, "redhat", u, chi_target, (u,) * n)
+            if a.terms and u in d_members:
+                self._check_rhs(errors, members, a, "redhat", u, (u,) * self.heights[u])
         return errors
 
-    def _check_rhs(self, errors, a, kind, w, chi_target, bound):
-        name = f"{kind}_{format_word(w)}"
+    def _check_rhs(self, errors, members, a, kind, w, bound):
+        """Append the errors of the nonzero right-hand side a of kind_w, which
+        must have the character degree of the super word bound and lie below it."""
         for U, _g in a.terms:
-            for l in U:
-                if l not in set(self.L):
-                    errors.append(f"{name} uses the non-member letter {format_word(l)}")
-                    return
+            if not members.issuperset(U):
+                l = next(l for l in U if l not in members)
+                errors.append(f"{kind}_{format_word(w)} uses the non-member letter {format_word(l)}")
+                return
         deg = self.char_degree(a)
-        if not a.is_zero():
-            if deg is None or not self.chi_eq(deg, chi_target):
-                errors.append(f"{name} is not character-homogeneous of the required degree")
+        if deg is None or not self.chi_eq(deg, self.word_chi(bound)):
+            errors.append(f"{kind}_{format_word(w)} is not character-homogeneous of the required degree")
         if not self.prec_L_check(a, bound):
-            errors.append(f"{name} violates the lower-terms shape against {format_word(w)}")
+            errors.append(f"{kind}_{format_word(w)} violates the lower-terms shape against {format_word(w)}")

@@ -143,8 +143,12 @@ class CycloField:
 
     def from_rational(self, r) -> Cyclo:
         r = Fraction(r)
-        num = [r.numerator] + [0] * (self.degree - 1)
-        return Cyclo(self, tuple(num), r.denominator)
+        return self.from_ratio(r.numerator, r.denominator)
+
+    def from_ratio(self, n: int, d: int) -> Cyclo:
+        """n / d for integers n and d > 0."""
+        g = math.gcd(n, d)
+        return Cyclo(self, (n // g,) + (0,) * (self.degree - 1), d // g)
 
     def root(self, k: int) -> Cyclo:
         """zeta_m^k as a field element, marked with its exponent k."""
@@ -478,9 +482,14 @@ class PrimeField:
 
     def from_rational(self, r) -> Fp:
         r = Fraction(r)
-        if r.denominator % self.p == 0:
+        return self.from_ratio(r.numerator, r.denominator)
+
+    def from_ratio(self, n: int, d: int) -> Fp:
+        """n / d for integers n and d > 0."""
+        g = math.gcd(n, d)
+        if d // g % self.p == 0:
             raise ZeroDivisionError(f"denominator divisible by {self.p}")
-        return self.element(r.numerator * pow(r.denominator, -1, self.p))
+        return self.element(n // g * pow(d // g, -1, self.p))
 
     def root(self, k: int) -> Fp:
         return self.element(pow(self.generator, k % self.unit_order, self.p))
@@ -701,6 +710,11 @@ def parse_scalar_literal(lit, field):
         return field.root(lit)
     try:
         if isinstance(lit, str):
+            # the ASCII forms n, -n, n/d and -n/d with d > 0 skip Fraction's regular expression
+            num, slash, den = lit.partition("/")
+            digits = num[1:] if num[:1] == "-" else num
+            if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit() and den.strip("0")):
+                return field.from_ratio(int(num), int(den) if slash else 1)
             return field.from_rational(Fraction(lit))
         if isinstance(lit, list):
             if not isinstance(field, CycloField):

@@ -75,7 +75,7 @@ def is_shirshov_closed(members, theta: int) -> bool:
     for u in s:
         if not is_lyndon(u):
             raise ValueError(f"not a Lyndon word: {u}")
-        if any(x < 1 or x > theta for x in u):
+        if min(u) < 1 or max(u) > theta:
             raise ValueError(f"letter out of range in {u}")
     for i in range(1, theta + 1):
         if (i,) not in s:
@@ -147,10 +147,10 @@ def parse_word(text: str):
     if not text:
         raise ValueError("empty word literal")
     parts = text.removesuffix(",").split(",") if "," in text else text
-    if not all(p.isascii() and p.isdigit() for p in parts):
+    if not (text.isascii() and text.isdigit() or all(p.isascii() and p.isdigit() for p in parts)):
         raise ValueError(f"bad word literal: {text!r}")
     letters = tuple(map(int, parts))
-    if any(x < 1 for x in letters):
+    if 0 in letters:
         raise ValueError(f"letters must be >= 1 in {text!r}")
     return letters
 

@@ -16,7 +16,17 @@ import pytest
 from pbw import cli, criterion, rewrite
 from pbw.algebra import NCPoly
 from pbw.cli import main
-from pbw.datumio import MAX_CONDUCTOR, MAX_GROUP_ORDER, MAX_HEIGHT, MAX_PRIME, datum_to_dict, load_datum, save_datum
+from pbw.datumio import (
+    MAX_CONDUCTOR,
+    MAX_FREE_RANK,
+    MAX_GROUP_ORDER,
+    MAX_HEIGHT,
+    MAX_MEMBER_LETTERS,
+    MAX_PRIME,
+    datum_to_dict,
+    load_datum,
+    save_datum,
+)
 from pbw.exprs import MAX_EXPR_DEGREE, MAX_EXPR_TERMS, ExprError, parse_expr
 from pbw.presets import PRESET_NAMES, build_preset
 from pbw.rewrite import MAX_NF_LETTERS, build_rules, reduce_bounded
@@ -128,6 +138,8 @@ _OVERSIZED = {
     "prime": (("field",), {"prime": 1_000_000_007}),  # the least prime above MAX_PRIME
     "height": (("heights", "1"), MAX_HEIGHT + 1),
     "group_order": (("group", "torsion"), [MAX_GROUP_ORDER + 1]),
+    "free_rank": (("group", "free_rank"), MAX_FREE_RANK + 1),
+    "member_letters": (("L", 1), "1" + "2" * MAX_MEMBER_LETTERS),
 }
 
 
@@ -137,6 +149,21 @@ def test_check_refuses_a_file_past_a_size_limit(capsys, tmp_path, case):
     assert code == 2
     assert err.startswith("error: ") and "above the limit" in err
     assert out == ""
+
+
+def test_deeply_nested_files_exit_2_without_traceback(tmp_path):
+    # an array nested 200,000 deep, and a uq_sl2 file whose coefficient
+    # vector holds a list nested 990 deep; both gave a RecursionError traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    data = datum_to_dict(build_preset("uq_sl2").datum)
+    data["reds"]["12"] = [{"word": [], "grp": [0], "coeff": ["NESTED", "0"]}]
+    nested = tmp_path / "nested_coeff.json"
+    nested.write_text(json.dumps(data).replace('"NESTED"', "[" * 990 + "]" * 990))
+    for path in (deep, nested):
+        result = run_alone("check", str(path), capture_output=True)
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
 def test_check_json_mirrors_text(capsys, taft_file):

@@ -1,20 +1,34 @@
 """The JSON datum format: round trips, strictness, literal forms."""
 
 import copy
+import hashlib
+import importlib.util
 import json
 import random
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbw import datumio, presets
 from pbw.algebra import Datum, GroupSpec, NCPoly
 from pbw.criterion import check_pbw
-from pbw.datumio import MAX_CONDUCTOR, DatumFormatError, datum_from_dict, datum_to_dict, load_datum, save_datum
+from pbw.datumio import (
+    MAX_CONDUCTOR,
+    MAX_FREE_RANK,
+    MAX_MEMBER_LETTERS,
+    DatumFormatError,
+    datum_from_dict,
+    datum_to_dict,
+    load_datum,
+    save_datum,
+)
 from pbw.presets import PRESET_NAMES, build_preset
-from pbw.scalars import CycloField, PrimeField, RootOfUnity
+from pbw.scalars import CycloField, PrimeField, RootOfUnity, format_scalar
 from pbw.words import c_set
 
 
@@ -213,6 +227,165 @@ def test_word_literal_with_commas():
     assert '"1"' in text  # single-letter words are digit strings
 
 
+def test_terms_enter_each_polynomial_as_add_term_adds_them():
+    # a zero coefficient is skipped, an equal monomial merges, a sum of zero
+    # removes the monomial, and a later term puts it back at the end
+    d = build_preset("uq_sl2").datum
+    data = datum_to_dict(d)
+    data["reds"]["12"] = [
+        {"word": [], "grp": [0], "coeff": "1"},
+        {"word": ["2", "1"], "grp": [0], "coeff": 0},
+        {"word": [], "grp": [1], "coeff": "0"},
+        {"word": [], "grp": [0], "coeff": "-1"},
+        {"word": ["2", "1"], "grp": [0], "coeff": 1},
+        {"word": [], "grp": [2], "coeff": ["0", "0"]},
+        {"word": [], "grp": [0], "coeff": "1/2"},
+        {"word": ["2", "1"], "grp": [0], "coeff": [-1, "-1"]},
+    ]
+    expected = NCPoly()
+    for t in data["reds"]["12"]:
+        word = tuple(tuple(int(c) for c in u) for u in t["word"])
+        coeff = t["coeff"]
+        if isinstance(coeff, int):
+            c = d.field.root(coeff)
+        elif isinstance(coeff, str):
+            c = d.field.from_rational(Fraction(coeff))
+        else:
+            c = d.field.element([Fraction(str(x)) for x in coeff])
+        expected.add_term((word, tuple(t["grp"])), c)
+    got = datum_from_dict(data).reds[(1, 2)]
+    assert list(got.terms.items()) == list(expected.terms.items())
+    assert [m for m in got.terms] == [((), (0,))]  # 1 + z - 1 - z cancels the x2 x1 term
+
+
+def test_size_limits_of_the_group_and_of_L_admit_their_largest_values():
+    data = datum_to_dict(build_preset("quantum_plane").datum)
+    data["group"] = {"torsion": [], "free_rank": MAX_FREE_RANK}
+    data["g"] = [[1] + [0] * (MAX_FREE_RANK - 1), [0, 1] + [0] * (MAX_FREE_RANK - 2)]
+    data["chi"] = [[0] * MAX_FREE_RANK, [0] * MAX_FREE_RANK]
+    d = datum_from_dict(data)
+    assert d.group.nfactors == MAX_FREE_RANK and d.validate() == []
+    # a Lyndon member of the longest accepted length loads (and validate
+    # finds L not Shirshov closed); one letter more is refused by the loader
+    data = datum_to_dict(build_preset("quantum_plane").datum)
+    longest = "1" + "2" * (MAX_MEMBER_LETTERS - 1)
+    data["L"].append(longest)
+    data["heights"][longest] = "inf"
+    assert datum_from_dict(data).validate()[0] == "L is not Shirshov closed"
+    data["L"][-1] += "2"
+    with pytest.raises(DatumFormatError, match=f"has {MAX_MEMBER_LETTERS + 1} letters, above the limit"):
+        datum_from_dict(data)
+
+
+def test_a_long_member_of_L_is_refused_before_validation_starts():
+    # validate() tests a member in time quadratic in its length: 10,000
+    # letters took 1.5 s to be refused
+    data = datum_to_dict(build_preset("uq_sl2").datum)
+    long = "1" + "2" * 9_999
+    data["L"].append(long)
+    data["heights"][long] = "inf"
+    t0 = time.perf_counter()
+    with pytest.raises(DatumFormatError, match="a member of L has 10000 letters"):
+        datum_from_dict(data)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def _nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def test_values_nested_past_the_recursion_limit_are_format_errors(tmp_path):
+    deep = _nested(sys.getrecursionlimit() + 100)
+    for where in ("coeff", "word"):
+        data = datum_to_dict(build_preset("uq_sl2").datum)
+        term = {"word": [], "grp": [0], "coeff": 0}
+        term[where] = [deep, "0"] if where == "coeff" else [deep]
+        data["reds"]["12"] = [term]
+        with pytest.raises(DatumFormatError, match="^a JSON value is nested too deeply$"):
+            datum_from_dict(data)
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(DatumFormatError, match="^not a JSON file: maximum recursion depth exceeded"):
+        load_datum(path)
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_files_load_as_a_utf8_text_stream_reads_them(tmp_path, newline):
+    # load_datum reads bytes and translates newlines itself; the reference
+    # is json.load on open(path, encoding="utf-8"), whose universal newlines
+    # place every JSON error at the same line, column and character
+    good = json.dumps(datum_to_dict(build_preset("radford").datum), indent=1).encode()
+    bodies = {
+        "good": good,
+        "comma": good.replace(b'"theta"', b'"theta",', 1),
+        "control": good.replace(b'"inf"', b'"in\rf"').replace(b'"1"', b'"\r1"', 1),
+        "utf8": good.replace(b'"field"', b'"fi\xffeld"', 1),
+        "bom": b"\xef\xbb\xbf" + good,
+        "empty": b"",
+    }
+
+    def outcome(read):
+        try:
+            return datum_to_dict(read())
+        except (DatumFormatError, ValueError) as e:
+            return str(e).removeprefix("not a JSON file: ")
+
+    for name, body in bodies.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(body.replace(b"\n", newline))
+
+        def reference():
+            with open(path, encoding="utf-8") as f:
+                return datum_from_dict(json.load(f))
+
+        assert outcome(lambda: load_datum(path)) == outcome(reference), name
+    assert isinstance(outcome(lambda: load_datum(tmp_path / "good.json")), dict)
+
+
+def _bench_cases():
+    """The benchmark's seeded case generator, bench/cases.py."""
+    spec = importlib.util.spec_from_file_location("bench_cases", Path(__file__).parents[1] / "bench" / "cases.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _loaded_terms(data):
+    """Every red and redhat of the loaded datum, its terms in insertion order."""
+    d = datum_from_dict(data)
+    return [
+        [kind, list(w), [[[list(u) for u in U], list(g), format_scalar(c)] for (U, g), c in p.terms.items()]]
+        for kind, polys in (("reds", d.reds), ("redhats", d.redhats))
+        for w, p in polys.items()
+    ]
+
+
+# recorded before the loader was rewritten to build its messages lazily
+LOADED_TERMS = "2c26d1dd6b96b97ecc48719c51977a9c5b8af80944eb65896204ab45a9e9abb8"
+
+
+def test_loaded_terms_keep_the_recorded_insertion_order():
+    # the presets as saved, then with every term list reversed and followed
+    # by itself (each term merges with its copy), then the check-tampered
+    # data of the benchmark at seeds 1-5; format_poly and the rewrite kernel
+    # read terms in this order, and datum_to_dict sorts them
+    corpus = [datum_to_dict(build_preset(name).datum) for name in PRESET_NAMES]
+    for data in corpus[:len(PRESET_NAMES)]:
+        data = copy.deepcopy(data)
+        for polys in (data["reds"], data["redhats"]):
+            for w, terms in polys.items():
+                polys[w] = terms[::-1] + terms
+        corpus.append(data)
+    cases = _bench_cases()
+    for seed in range(1, 6):
+        corpus += [data for _stem, data, _ops in cases.generate("check-tampered", seed, presets, datumio)]
+    blob = json.dumps([_loaded_terms(data) for data in corpus], separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == LOADED_TERMS
+
+
 # -- malformed input: a Datum or DatumFormatError, never anything else -------
 
 _FUZZ_PRESETS = ("uq_sl2", "radford", "quantum_plane", "lifting_a2_1a", "lifting_a2_2b")
@@ -228,6 +401,7 @@ def _paths(obj, prefix=()):
 
 
 _FUZZ_PATHS = [(i, path) for i, data in enumerate(_FUZZ_DICTS) for path in _paths(data)]
+_FUZZ_TEXTS = [json.dumps(data) for data in _FUZZ_DICTS]
 _DELETE = object()
 
 # small integers keep field and group sizes cheap to construct
@@ -243,11 +417,10 @@ _JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=2000, derandomize=True, database=None)
-@given(st.sampled_from(_FUZZ_PATHS), st.just(_DELETE) | _JSON_VALUES)
-def test_single_field_mutations_load_or_raise_format_error(target, value):
-    index, path = target
-    data = copy.deepcopy(_FUZZ_DICTS[index])
+def _mutated(index, path, value):
+    """A fresh copy of the index-th fuzz dict with the value at path replaced,
+    or deleted for _DELETE."""
+    data = json.loads(_FUZZ_TEXTS[index])
     parent = data
     for k in path[:-1]:
         parent = parent[k]
@@ -255,9 +428,42 @@ def test_single_field_mutations_load_or_raise_format_error(target, value):
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
+    return data
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True, database=None)
+@given(st.sampled_from(_FUZZ_PATHS), st.just(_DELETE) | _JSON_VALUES)
+def test_single_field_mutations_load_or_raise_format_error(target, value):
     try:
-        d = datum_from_dict(data)
+        d = datum_from_dict(_mutated(*target, value))
     except DatumFormatError:
         return
     assert isinstance(d, Datum)
     assert isinstance(d.validate(), list)
+
+
+# One value of each kind that the loader tells apart: integers, booleans and
+# floats, word and scalar literal forms (whitespace, a sign, a decimal,
+# non-ASCII digits, a zero denominator), and short lists and objects.
+_MALFORMED_VALUES = (
+    _DELETE, None, True, 0, 1, -1, 2, 12, 1.5, "", " 1 ", "inf", "0", "-1", "3/2", "1/0", "+2", "0.5",
+    "\u0661", "\u00b2", "x", "21", "1,2", "10,", [], [0], [True], ["1"], ["1/2", "-1"], [[1]], {},
+    {"word": [], "grp": [0], "coeff": 1},
+)
+# recorded before the loader built its messages lazily and read ASCII
+# rationals directly: each mutation's DatumFormatError text, or its
+# validate() list
+MALFORMED_OUTCOMES = "b6633958fc95d334565738d7b47bf5b67702e13cbf447b49f9a4c21a882c040f"
+
+
+def test_every_single_field_mutation_gives_the_recorded_refusal():
+    outcomes = []
+    for index, path in _FUZZ_PATHS:
+        for value in _MALFORMED_VALUES:
+            try:
+                outcomes.append(datum_from_dict(_mutated(index, path, value)).validate())
+            except DatumFormatError as e:
+                outcomes.append(str(e))
+    assert sum(isinstance(o, str) for o in outcomes) > 2000
+    blob = json.dumps(outcomes, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == MALFORMED_OUTCOMES

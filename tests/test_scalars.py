@@ -307,6 +307,43 @@ def test_scalar_literals_round_trip():
         parse_scalar_literal(["1"], fp)  # vectors need a cyclotomic field
 
 
+# ASCII integers and fractions, and every other form that Fraction reads or
+# refuses: whitespace, signs, decimals, exponents, non-ASCII digits, zero and
+# signed denominators, malformed slashes
+_RATIONAL_LITERALS = [
+    "0", "-0", "7", "-7", "007", "3/2", "-3/2", "6/4", "0/5", "12345678901234567890/3", "1/7", "3/14",
+    "1/0", "1/00", "-1/0", " 1", "1 ", "+1", "+3/2", "1.5", "-.5", "1e3", "1E-2", "\u0661", "\u0663/\u0664",
+    "\u00b2", "1_0", "", "-", "/", "1/", "/2", "--1", "1/-2", "1//2", "3/2/1", "x", "0x10", "inf", "nan",
+    "1" * 5000, "-" + "1" * 5000 + "/7", "3/" + "1" * 5000,  # past the int() digit limit of Python 3.11
+]
+
+
+@pytest.mark.parametrize("field", [CycloField(3), PrimeField(7)])
+def test_string_literals_read_as_fraction_reads_them(field):
+    # the reference reads every string with Fraction, and reports a zero
+    # denominator (or one divisible by p) as parse_scalar_literal does
+    def reference(lit):
+        try:
+            if isinstance(lit, list):
+                return field.element([Fraction(str(c)) for c in lit])
+            return field.from_rational(Fraction(lit))
+        except ZeroDivisionError:
+            raise ValueError(f"scalar literal divides by zero: {lit!r}") from None
+
+    def outcome(parse, lit):
+        try:
+            x = parse(lit)
+        except ValueError as e:
+            return type(e), str(e)
+        return x, type(x)
+
+    literals = list(_RATIONAL_LITERALS)
+    if isinstance(field, CycloField):
+        literals += [["1/2", 3], [1.5, "-0"], ["\u0661", " 2"], ["1/0", "1"], [True, "1"], [None, "1"]]
+    for lit in literals:
+        assert outcome(lambda t: parse_scalar_literal(t, field), lit) == outcome(reference, lit), lit
+
+
 def test_format_scalar():
     f = CycloField(4)
     assert format_scalar(f.zero()) == "0"

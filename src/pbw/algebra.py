@@ -452,6 +452,8 @@ class Datum:
                     errors.append(
                         f"chi_{i + 1} value on factor {f + 1} has order not dividing {self.group.torsion[f]}"
                     )
+        if any(len(chi) != nf for chi in self.chi):
+            return errors  # the checks below read every character in full
         if self.heights.keys() != members:
             errors.append("heights must be given for exactly the members of L")
             return errors

@@ -151,7 +151,11 @@ def _cmd_preset(args):
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.output:
-        save_datum(preset.datum, args.output)
+        try:
+            save_datum(preset.datum, args.output)
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
         print(f"wrote {args.output}")
     else:
         print(json.dumps(datum_to_dict(preset.datum), indent=1, sort_keys=True))

@@ -6,13 +6,14 @@ relation toolkit for rank-two and B2-shaped presentations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import accumulate
+from math import gcd
 
 from .algebra import NCPoly
 from .rewrite import RuleSystem, build_rules, normal_form, reduce_bounded
 from .oracle import span_contains  # noqa: F401  (the span reference's membership test)
-from .scalars import RootOfUnity, is_height_for_order
+from .scalars import is_height_for_order
 from .words import format_word, greatest_first, shirshov_decompose, xlen
 
 
@@ -99,35 +100,22 @@ def _nested_weights(datum, u, qexp):
     and Q = zeta^qexp, the q-binomial theorem gives
     e_i = Q^i r^(i(i+1)/2) [n choose i]_r.
 
-    Returns (order, weights): the indices i with a_i != 0, in the order in
-    which multiplying out the product one factor at a time, its L term
-    first, leaves their words, and the a_i as scalars, or None for
-    a_i = Q^i.  That is the case at every height that validate accepts,
-    N_u = p^k ord r (k = 0 when p = 0): then [n choose i]_r =
-    (-1)^i r^(-i(i+1)/2) by the q-Lucas theorem.  In characteristic p the
-    partial products lose the terms whose Gaussian binomials vanish and
-    place them again later, and the order is that of the digits of i in the
-    mixed radix (ord r, p, ..., p), least significant first.  At any other
-    height the weights come from the recurrence e_i += q_k e_(i-1), exact
-    for every height, and the order from replaying which of them vanish."""
+    Returns None for a_i = Q^i.  That is the case at every height that
+    validate accepts, N_u = p^k ord r (k = 0 when p = 0): then [n choose i]_r =
+    (-1)^i r^(-i(i+1)/2) by the q-Lucas theorem.  At any other height it
+    returns the a_i as scalars, from the recurrence e_i += q_k e_(i-1), which
+    is exact for every height."""
     field = datum.field
     n = datum.heights[u] - 1
-    quu = datum.q_exp(u, u)
-    ord_r, p = RootOfUnity(quu, field.unit_order).order(), field.characteristic
-    if is_height_for_order(n + 1, ord_r, p):
-        if p == 0:
-            return range(n + 1), None
-        radix = [ord_r]
-        while radix[-1] <= n:
-            radix.append(radix[-1] * p)
-        return sorted(range(n + 1), key=lambda i: [i % ord_r] + [i // b % p for b in radix]), None
-    a, order = [field.one()], [0]
+    quu, m = datum.q_exp(u, u), field.unit_order
+    # ord q_uu read off the exponent, as validate reads it
+    if is_height_for_order(n + 1, m // gcd(m, quu), field.characteristic):
+        return None
+    a = [field.one()]
     for k in range(1, n + 1):
         q = field.root(qexp + k * quu)
         a = [x - q * y for x, y in zip(a + [field.zero()], [field.zero()] + a)]
-        placed = set(order)
-        order = [i for i in order if not a[i].is_zero()] + [i + 1 for i in order if i + 1 not in placed]
-    return order, a
+    return a
 
 
 def _nested_bracket(datum, t, u, qexp, left):
@@ -137,45 +125,21 @@ def _nested_bracket(datum, t, u, qexp, left):
         sum_i c a_i s^i x_u^(n-i) V x_u^i g            (left)
         sum_i c a_i s^(n-i) x_u^i V x_u^(n-i) g        (right)
     with the weights a_i of _nested_weights, which are zeta^(i qexp) at every
-    validated height: one rotation per coefficient.  The loop runs over i
-    outside, in the order of _nested_weights, and over the terms of t
-    inside: the term order of the nested products.  A term whose V is a
-    power of x_u gives one word for every i; the products keep it in the
-    place of its first term, so it is added up first.  Two terms
-    x_u^a Y x_u^b g with one Y and one g share words too: in characteristic
-    p above ord q_uu a partial product can cancel such a word and place it
-    again later, and then only the values agree with the products'."""
+    validated height: one rotation per coefficient.  Terms that share a word
+    are merged: the value is the nested products', not their term order."""
     n = datum.heights[u] - 1
-    order, weights = _nested_weights(datum, u, qexp)
+    weights = _nested_weights(datum, u, qexp)
     chi_u = datum.word_chi((u,))
     powers = [(u,) * j for j in range(n + 1)]
-
-    def coeff(c, s, i):
-        # j letters x_u stand right of V, each twisted by s
-        j = i if left else n - i
-        if weights is None:
-            return c.times_root(i * qexp + j * s)
-        return (c * weights[i]).times_root(j * s)
-
-    def word(V, i):
-        return powers[n - i] + V + powers[i] if left else powers[i] + V + powers[n - i]
-
-    rows = []
+    out = NCPoly()
     for (V, g), c in t.terms.items():
         s = datum.chi_apply_exp(chi_u, g)
-        total = None
-        if V.count(u) == len(V):
-            total = datum.field.zero()
-            for i in order:
-                total = total + coeff(c, s, i)
-        rows.append((V, g, c, s, total))
-    out = NCPoly()
-    for pos, i in enumerate(order):
-        for V, g, c, s, total in rows:
-            if total is None:
-                out.add_term((word(V, i), g), coeff(c, s, i))
-            elif pos == 0:
-                out.add_term((word(V, i), g), total)
+        for i in range(n + 1):
+            # j letters x_u stand right of V, each twisted by s
+            j = i if left else n - i
+            word = powers[n - i] + V + powers[i] if left else powers[i] + V + powers[n - i]
+            coeff = c.times_root(i * qexp + j * s) if weights is None else (c * weights[i]).times_root(j * s)
+            out.add_term((word, g), coeff)
     return out
 
 
@@ -198,8 +162,8 @@ def leibniz_le_element(datum, table, u, v) -> NCPoly:
     [x_u, ... [x_u, T[u,v]]_{q_uu q_uv} ...] minus [redhat_u, x_v]_{q_uv^N}.
     In closed form, with n = N_u - 1, each term c V g of T[u,v] gives
         sum_i c zeta^(i (q_uv + chi_u(g))) x_u^(n-i) V x_u^i g
-    at every height that validate accepts (exponents of zeta throughout);
-    _nested_weights has the derivation and the other heights."""
+    at every height that validate accepts (zeta exponents throughout), summed
+    over the terms; _nested_weights has the derivation and the other heights."""
     n = datum.heights[u]
     acc = _nested_bracket(datum, table[(u, v)], u, datum.q_exp(u, v), left=True)
     return acc - _hat_bracket(datum, datum.redhats[u], v, datum.field.root(n * datum.q_exp(u, v)), left=True)
@@ -215,8 +179,8 @@ def leibniz_gt_element(datum, table, v, u) -> NCPoly:
     [...[T[v,u], x_u]_{q_vu q_uu} ...] minus [x_v, redhat_u]_{q_vu^N}.
     In closed form, with n = N_u - 1, each term c V g of T[v,u] gives
         sum_i c zeta^(i q_vu + (n-i) chi_u(g)) x_u^i V x_u^(n-i) g
-    at every height that validate accepts; _nested_weights has the
-    derivation and the other heights."""
+    at every height that validate accepts, summed over the terms;
+    _nested_weights has the derivation and the other heights."""
     n = datum.heights[u]
     acc = _nested_bracket(datum, table[(v, u)], u, datum.q_exp(v, u), left=False)
     return acc - _hat_bracket(datum, datum.redhats[u], v, datum.field.root(n * datum.q_exp(v, u)), left=False)
@@ -227,9 +191,11 @@ def leibniz_gt_element(datum, table, v, u) -> NCPoly:
 # ---------------------------------------------------------------------------
 
 # The bounded span, built placement by placement and decided by
-# span_contains (bounded_span_elements, span_degree, span_cosets): the exact
-# reference against which the tests hold the diamond.  check_pbw does not
-# call it.
+# span_contains (bounded_span_elements, span_cosets): the exact reference
+# against which the tests hold the diamond; check_pbw does not call it.  It
+# builds placements of every character degree: on valid data those of
+# another degree than the target share no monomial with it, so that
+# span_contains leaves them out.
 #
 # Placement budget of bounded_span_elements: the placements a*lhs*b of at
 # most as many letters as the bound, counted before any word is built.  The
@@ -241,14 +207,13 @@ def leibniz_gt_element(datum, table, v, u) -> NCPoly:
 MAX_SPAN_PLACEMENTS = 200_000
 
 
-def bounded_span_elements(rs: RuleSystem, bound, degree=None, cosets=None):
+def bounded_span_elements(rs: RuleSystem, bound, cosets=None):
     """All rule elements a*(lhs - rhs)*b*h whose full word a*lhs*b precedes
     the bound, for every element h of the group, which must be finite.
     Group letters on the left are absorbed by character homogeneity, so
-    contexts are words times a right group factor.  With a degree, only the
-    placements whose word a*lhs*b has that character degree are built.  With
-    cosets, a sorted list of group elements, only the h in it are: the
-    placement a*(lhs - rhs)*b*h lies in the coset h*H of rs.subgroup, so for
+    contexts are words times a right group factor.  With cosets, a sorted
+    list of group elements, only the h in it are built: the placement
+    a*(lhs - rhs)*b*h lies in the coset h*H of the H of span_cosets, so for
     a union of cosets of H this keeps the placements that meet it.  The
     elements come placement by placement, each with its h in sorted order.
     Raises ValueError when there are more than MAX_SPAN_PLACEMENTS
@@ -256,14 +221,8 @@ def bounded_span_elements(rs: RuleSystem, bound, degree=None, cosets=None):
     datum = rs.datum
     hs = datum.group.elements() if cosets is None else cosets
     identity = datum.group.identity()
-    shifted = {}
-
-    def shift(g):
-        """The products g*h for h in hs, in that order."""
-        gh = shifted.get(g)
-        if gh is None:
-            gh = shifted[g] = [datum.group.mul(g, h) for h in hs]
-        return gh
+    # the products g*h for h in hs, in that order, built once per g
+    shift = cache(lambda g: [datum.group.mul(g, h) for h in hs])
 
     letters = sorted(datum.L)
     bound = tuple(tuple(u) for u in bound)
@@ -290,33 +249,18 @@ def bounded_span_elements(rs: RuleSystem, bound, degree=None, cosets=None):
         frontier = [(w + (l,), n + len(l)) for w, n in frontier for l in letters if n + len(l) <= lb]
         all_words.extend(frontier)
     fits = [[t for t in all_words if t[1] <= k] for k in range(lb + 1)]
-    if degree is not None:
-        # the degree of a*lhs*b is the sum of the three, compared mod
-        # unit_order; each context word's degree is its prefix's plus one
-        # letter's (all_words lists every prefix before its extensions)
-        m = datum.field.unit_order
-        letter_chi = {l: datum.word_chi((l,)) for l in letters}
-        chi = {(): datum.word_chi(())}
-        for w, _n in all_words[1:]:
-            chi[w] = tuple(x + y for x, y in zip(chi[w[:-1]], letter_chi[w[-1]]))
 
     out = []
     for lhs in rs.rules:
         ll = xlen(lhs)
         if ll > lb:
             continue
-        if degree is not None:
-            rest = [z - y for y, z in zip(datum.word_chi(lhs), degree)]
         for a, la in fits[lb - ll]:
-            if degree is not None:
-                need = [(r - x) % m for x, r in zip(chi[a], rest)]
             for b, lb_ in fits[lb - ll - la]:
                 U = a + lhs + b
                 # U precedes the bound: fewer letters, or as many and
                 # lexicographically bigger
                 if la + ll + lb_ == lb and not U > bound:
-                    continue
-                if degree is not None and any((x - n) % m for x, n in zip(chi[b], need)):
                     continue
                 placed = datum.monomial(U) - rs.rewrite_at(U, identity, (len(a), len(a) + len(lhs)))
                 terms = [(V, shift(g), c) for (V, g), c in placed.terms.items()]
@@ -325,19 +269,13 @@ def bounded_span_elements(rs: RuleSystem, bound, degree=None, cosets=None):
     return out
 
 
-def span_degree(rs: RuleSystem, a: NCPoly):
-    """The character degree of a when a is character-homogeneous and every
-    rule element lhs - rhs has the degree of lhs; otherwise None.  Only then
-    do the span placements of other degrees share no monomial with a."""
-    degree = rs.datum.char_degree(a)
-    return degree if degree is not None and rs.homogeneous else None
-
-
 def span_cosets(rs: RuleSystem, a: NCPoly):
-    """The group elements g*k for a group part g of a and k in rs.subgroup,
-    sorted: the union of the cosets of H that hold a group part of a."""
+    """The sorted union of the cosets of H that hold a group part of a, with
+    H generated by the group parts of the right-hand sides, so that every
+    rule element holds its group parts in H.  Needs a finite group."""
     group = rs.datum.group
-    return sorted({group.mul(g, k) for _U, g in a.terms for k in rs.subgroup})
+    H = group.subgroup({g for rhs in rs.rules.values() for _U, g in rhs.terms})
+    return sorted({group.mul(g, k) for _U, g in a.terms for k in H})
 
 
 def diamond_resolves(rs: RuleSystem, bound, sites):
@@ -566,10 +504,10 @@ def forced_power_from_jacobi(datum, table, level):
 def generic_redundancies(datum, table):
     """Relations implied by the others: drop one rule, reduce its element by
     the remaining system, redundant when the normal form is zero.  Returns a
-    list of ("red", w) / ("redhat", u) labels."""
+    list of ("red", w) labels: without its own rule a power u^N holds no
+    other left-hand side ((u, u) is never a pair rule), so it never reduces."""
     rules = build_rules(datum, table).rules
     candidates = [(shirshov_decompose(w), ("red", w)) for w in sorted(datum.reds)]
-    candidates += [((u,) * datum.heights[u], ("redhat", u)) for u in sorted(datum.redhats)]
     out = []
     for lhs, label in candidates:
         pruned = RuleSystem(datum, {k: r for k, r in rules.items() if k != lhs})

@@ -6,10 +6,11 @@ Unknown fields are rejected.  Scalar literals: an integer is a root exponent
 length phi(m) is a cyclotomic coefficient vector.
 
 Sizes are limited so that loading and validating any accepted file takes well
-under a second: the conductor m (the field builds one table, of the m powers
-x^j mod Phi_m; under 40 ms for every m up to the limit), the prime p (found
-prime by trial division), every finite height (the check builds words of
-N + 1 letters), the order of the group's torsion part (the basis
+under a second: the rank theta (the datum builds a table of the theta^2
+exponents of q_ij), the conductor m (the field builds one table, of the m
+powers x^j mod Phi_m; under 40 ms for every m up to the limit), the prime p
+(found prime by trial division), every finite height (the check builds words
+of N + 1 letters), the order of the group's torsion part (the basis
 enumeration lists every group element, and quotient_rank those of its coset
 block), the free rank (the group builds a tuple of that length) and the
 length of each member of L (validate() tests it in quadratic time).
@@ -29,6 +30,7 @@ _TERM_FIELDS = {"word", "grp", "coeff"}
 _INT = frozenset({int})
 _FIELD_SPEC = "field must be {'cyclotomic': m} or {'prime': p}"
 
+MAX_THETA = 64
 MAX_CONDUCTOR = 1000
 MAX_PRIME = 10**9
 MAX_HEIGHT = 1000
@@ -87,6 +89,7 @@ def _datum_from_dict(data):
 
     theta = data["theta"]
     _require(_is_int(theta) and theta >= 1, "theta must be a positive integer")
+    _require(theta <= MAX_THETA, "theta %s is above the limit %s", theta, MAX_THETA)
 
     fspec = data["field"]
     _require(isinstance(fspec, dict) and len(fspec) == 1 and _is_int(*fspec.values()), _FIELD_SPEC)

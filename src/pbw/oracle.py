@@ -104,27 +104,31 @@ def span_contains(elements, target: NCPoly) -> bool:
     Only the elements linked to the target are eliminated.  A union-find over
     monomials joins the monomials of each element; an element whose component
     holds no monomial of the target shares no monomial with any element that
-    does, so it enters a combination equal to the target with coefficient 0."""
-    parent = {}
+    does, so it enters a combination equal to the target with coefficient 0.
+    Monomials are numbered on first sight: each occurrence is hashed once."""
+    number, parent = {}, []
 
-    def find(m):
-        while parent[m] != m:
-            parent[m] = m = parent[parent[m]]
-        return m
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
 
     for e in elements:
         root = None
         for m in e.terms:
-            r = find(m) if m in parent else parent.setdefault(m, m)
+            i = number.setdefault(m, len(parent))
+            if i == len(parent):
+                parent.append(i)
+            r = find(i)
             if root is None:
                 root = r
             elif r != root:
                 parent[r] = root
-    linked = {find(m) for m in target.terms if m in parent}
+    linked = {find(number[m]) for m in target.terms if m in number}
     ech = Echelon()
     labels = {}  # each word is labelled once per call
     for e in elements:
-        if e.terms and find(next(iter(e.terms))) in linked:
+        if e.terms and find(number[next(iter(e.terms))]) in linked:
             ech.insert(poly_row(e, labels))
     return ech.contains(poly_row(target, labels))
 

@@ -31,7 +31,6 @@ work polynomial; it builds no NCPoly and computes no character.
 from __future__ import annotations
 
 import heapq
-from functools import cached_property
 
 from .algebra import NCPoly
 from .words import format_word, greatest_first, prec_cmp
@@ -57,26 +56,6 @@ class RuleSystem:
         # rules; at most one entry per rule and character value, whatever
         # the input
         self._twisted = {}
-
-    # Derived on first use; only the bounded span reference of
-    # pbw.criterion reads them, check_pbw never does.
-
-    @cached_property
-    def subgroup(self):
-        """H, the subgroup generated by the group parts of the right-hand
-        sides; every rule element lhs - rhs has its group parts in H, since
-        a left-hand side carries the identity.  Needs a finite group."""
-        return self.datum.group.subgroup({g for rhs in self.rules.values() for _U, g in rhs.terms})
-
-    @cached_property
-    def homogeneous(self):
-        """Whether every rule element lhs - rhs has the character degree of lhs."""
-        d = self.datum
-        return all(
-            d.chi_eq(d.word_chi(U), d.word_chi(lhs))
-            for lhs, rhs in self.rules.items()
-            for U, _g in rhs.terms
-        )
 
     def find_site(self, U):
         """Leftmost reducible site (i, cut) in the word U, power rules first

@@ -455,6 +455,15 @@ def test_validate_flags_inhomogeneous_redhat():
     assert any("character-homogeneous" in v for v in d.validate())
 
 
+def test_validate_lists_a_character_of_the_wrong_length():
+    # the checks after the character loop read every character in full; a
+    # short one raised IndexError there
+    from pbw.presets import build_preset
+
+    d = replace(build_preset("uq_sl2").datum, chi=((1,), ()))
+    assert d.validate() == ["chi_2 has the wrong number of factor values"]
+
+
 def test_validate_flags_unclosed_L():
     d = generic_datum()
     bad = replace(

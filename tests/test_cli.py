@@ -23,6 +23,7 @@ from pbw.datumio import (
     MAX_HEIGHT,
     MAX_MEMBER_LETTERS,
     MAX_PRIME,
+    MAX_THETA,
     datum_to_dict,
     load_datum,
     save_datum,
@@ -140,6 +141,7 @@ _OVERSIZED = {
     "group_order": (("group", "torsion"), [MAX_GROUP_ORDER + 1]),
     "free_rank": (("group", "free_rank"), MAX_FREE_RANK + 1),
     "member_letters": (("L", 1), "1" + "2" * MAX_MEMBER_LETTERS),
+    "theta": (("theta",), MAX_THETA + 1),
 }
 
 
@@ -438,6 +440,16 @@ def test_preset_params(capsys, tmp_path):
     assert out.strip() == "16"
     code, _, err = run(capsys, "preset", "taft", "--param", "N=1", "-o", str(path))
     assert code == 2
+
+
+def test_preset_to_an_unwritable_path_exits_2_without_traceback(capsys, tmp_path):
+    # the directory does not exist: the write failed with a FileNotFoundError
+    # traceback and exit 1
+    path = tmp_path / "missing" / "t.json"
+    code, out, err = run(capsys, "preset", "taft", "-o", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("param", ["N", "N=1/0", "N=x"])

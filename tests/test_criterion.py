@@ -30,7 +30,6 @@ from pbw.criterion import (
     diamond_resolves,
     in_bounded_ideal,
     span_cosets,
-    span_degree,
 )
 from pbw.oracle import (
     MAX_ORACLE_COLUMNS,
@@ -43,7 +42,7 @@ from pbw.oracle import (
     span_contains,
 )
 from pbw.presets import PRESET_NAMES, build_preset
-from pbw.rewrite import build_rules, dimension, normal_form, reduce_bounded
+from pbw.rewrite import RuleSystem, build_rules, dimension, normal_form, reduce_bounded
 from pbw.scalars import Cyclo, CycloField, PrimeField, format_scalar
 from pbw.datumio import datum_from_dict, datum_to_dict
 from pbw.words import c_set, greatest_first, prec_cmp, shirshov_decompose, xlen
@@ -378,10 +377,10 @@ def closed_and_nested(datum, table=None):
 
 
 def assert_closed_form_is_the_nested_products(datum, table=None):
-    """Equal in value and in term order; returns the number of elements."""
+    """Equal in value; returns the number of elements."""
     count = 0
     for kind, a, b, got, want in closed_and_nested(datum, table):
-        assert list(got.terms.items()) == list(want.terms.items()), (kind, a, b)
+        assert got == want, (kind, a, b)
         count += 1
     return count
 
@@ -447,11 +446,11 @@ def test_leibniz_closed_form_is_the_nested_products_on_a2_nichols(N):
 @pytest.mark.parametrize("power", [0, 1, 2])
 def test_leibniz_closed_form_is_the_nested_products_over_a_prime_field(p, a11, a22, o1, o2, power):
     """Heights ord, p ord and p^2 ord: past ord q_uu the nested products drop
-    and re-place terms, and the closed form keeps their order."""
+    and re-place terms, and the closed form has their value."""
     k = p**power
     d, poly = fp_rank2(p, a11, a22, o1 * k, o2 * k)
     for u, qexp in (((1,), d.q_exp((1,), (2,))), ((2,), d.q_exp((1,), (2,)))):
-        assert criterion._nested_weights(d, u, qexp)[1] is None  # the closed form
+        assert criterion._nested_weights(d, u, qexp) is None  # the closed form
     # chi_1(g1) and chi_2(g1) are nontrivial: every term of T has a twist
     # to pass, and its words share no core x_u^a Y x_u^b between terms
     T = poly(((2,), (1, 0), 1), ((1, 2), (1, 1), 2), ((), (0, 1), 3), ((2, 1, 2), (0, 0), 4), ((1, 1), (1, 0), 1))
@@ -482,8 +481,8 @@ def test_leibniz_closed_form_replays_the_products_at_an_unvalidated_height():
     d = build_preset("uq_sl2").datum
     d = replace(d, heights={(1,): 2, (2,): 3})
     assert d.validate() != []
-    assert criterion._nested_weights(d, (1,), d.q_exp((1,), (2,)))[1] is not None
-    assert criterion._nested_weights(d, (2,), d.q_exp((1,), (2,)))[1] is None
+    assert criterion._nested_weights(d, (1,), d.q_exp((1,), (2,))) is not None
+    assert criterion._nested_weights(d, (2,), d.q_exp((1,), (2,))) is None
     assert assert_closed_form_is_the_nested_products(d) == 2
 
 
@@ -491,7 +490,8 @@ def test_leibniz_closed_form_replays_the_products_at_an_unvalidated_height():
 def test_leibniz_closed_form_replays_the_vanishing_partial_products(heights):
     """Heights above ord q_uu = 3 that validate refuses: the partial
     products lose the words whose Gaussian binomials vanish and place them
-    again later, over Q(zeta_3) and over F_7."""
+    again later, over Q(zeta_3) and over F_7; the recurrence's weights give
+    the same value."""
     d = replace(build_preset("uq_sl2").datum, heights={(1,): heights[0], (2,): heights[1]})
     assert assert_closed_form_is_the_nested_products(d) == 2
     d, poly = fp_rank2(7, 2, 2, *heights)
@@ -628,10 +628,10 @@ def tampered_lifting_a1xa1(N=2, c=1):
 
 def span_reference(rs, element, bound):
     """The exact span test that the diamond is held against: membership of
-    element in the placements below the bound, built in its span degree and
-    span cosets only.  The span functions are looked up on the module, so
-    that a test can record their calls."""
-    span = criterion.bounded_span_elements(rs, bound, span_degree(rs, element), span_cosets(rs, element))
+    element in the placements below the bound, built in its span cosets
+    only.  The span functions are looked up on the module, so that a test
+    can record their calls."""
+    span = criterion.bounded_span_elements(rs, bound, span_cosets(rs, element))
     return criterion.span_contains(span, element)
 
 
@@ -646,12 +646,11 @@ def span_reference_check(datum, mode="full"):
     ]
 
 
-def span_elements_by_multiplication(rs, bound, degree=None, cosets=None):
+def span_elements_by_multiplication(rs, bound, cosets=None):
     """Reference for bounded_span_elements, built by smash-product
     multiplication: a*(lhs - rhs)*b*h for every rule, every pair of word
     contexts with a*lhs*b below the bound, and every group element h; with
-    a degree, only the products of that character degree, and with cosets,
-    only the h in them."""
+    cosets, only the h in them."""
     d = rs.datum
     words, frontier = [()], [()]
     while frontier:
@@ -665,11 +664,6 @@ def span_elements_by_multiplication(rs, bound, degree=None, cosets=None):
                 U = a + lhs + b
                 if xlen(U) <= xlen(bound) and prec_cmp(U, bound) < 0:
                     placed = d.mul(d.mul(d.monomial(a), elem), d.monomial(b))
-                    if degree is not None:
-                        placed_degree = d.char_degree(placed)
-                        assert placed_degree is not None, (lhs, a, b)
-                        if not d.chi_eq(placed_degree, degree):
-                            continue
                     hs = [h for h in d.group.elements() if cosets is None or h in cosets]
                     out.extend(d.mul(placed, d.group_like(h)) for h in hs)
     return out
@@ -679,9 +673,9 @@ def test_bounded_span_places_rule_elements_as_multiplication_does(monkeypatch):
     calls = []
     original = criterion.bounded_span_elements
 
-    def recording(rs, bound, degree=None, cosets=None):
-        out = original(rs, bound, degree, cosets)
-        calls.append((rs, bound, degree, cosets, out))
+    def recording(rs, bound, cosets=None):
+        out = original(rs, bound, cosets)
+        calls.append((rs, bound, cosets, out))
         return out
 
     monkeypatch.setattr(criterion, "bounded_span_elements", recording)
@@ -693,46 +687,9 @@ def test_bounded_span_places_rule_elements_as_multiplication_does(monkeypatch):
         # the unfiltered span, once per datum
         rs, bound = calls[before][:2]
         assert original(rs, bound) == span_elements_by_multiplication(rs, bound), bound
-    for rs, bound, degree, cosets, out in calls:
-        assert degree is not None  # valid data: the span is filtered by degree
+    for rs, bound, cosets, out in calls:
         assert cosets is not None
-        assert out == span_elements_by_multiplication(rs, bound, degree, cosets), bound
-
-
-@pytest.mark.parametrize(
-    "make,N",
-    [(tampered_uq_sl2, 3), (tampered_uq_sl2, 5), (tampered_uq_sl2, 9), (tampered_lifting_a1xa1, 2), (tampered_lifting_a1xa1, 3)],
-    ids=["uq_sl2-3", "uq_sl2-5", "uq_sl2-9", "lifting_a1xa1-2", "lifting_a1xa1-3"],
-)
-def test_span_degree_filter_keeps_the_placements_in_order(monkeypatch, make, N):
-    # the degree filter, summed from the parts a, lhs and b, keeps exactly
-    # the unfiltered placements of that degree, in their order
-    calls = []
-    original = criterion.bounded_span_elements
-
-    def recording(rs, bound, degree=None, cosets=None):
-        out = original(rs, bound, degree, cosets)
-        calls.append((rs, bound, degree, cosets, out))
-        return out
-
-    monkeypatch.setattr(criterion, "bounded_span_elements", recording)
-    d = make(N)
-    assert not check_pbw(d).passed
-    assert not all(span_reference_check(d))
-    assert calls
-    for rs, bound, degree, cosets, out in calls:
-        d = rs.datum
-        assert degree is not None and out
-        # valid data: every term of a placement has the degree of its word,
-        # which is tested once per word
-        kept, ok = [], {}
-        for e in original(rs, bound, None, cosets):
-            U = next(iter(e.terms))[0]
-            if U not in ok:
-                ok[U] = d.chi_eq(d.word_chi(U), degree)
-            if ok[U]:
-                kept.append(e)
-        assert out == kept
+        assert out == span_elements_by_multiplication(rs, bound, cosets), bound
 
 
 @pytest.mark.parametrize(
@@ -741,16 +698,16 @@ def test_span_degree_filter_keeps_the_placements_in_order(monkeypatch, make, N):
     ids=["lifting_a1xa1-2", "lifting_a1xa1-3", "uq_sl2-3", "uq_sl2-5"],
 )
 def test_span_coset_filter_keeps_the_placements_that_meet_the_target(monkeypatch, make, N, index):
-    # the span reference builds exactly the placements, filtered by degree only,
-    # that have a group part in a coset of H holding a group part of the
-    # target, in their order; H is generated by the rule elements' group
-    # parts and has index [G:H] = index
+    # the span reference builds exactly the placements that have a group
+    # part in a coset of H holding a group part of the target, in their
+    # order; H is generated by the rule elements' group parts and has index
+    # [G:H] = index
     spans, tests = [], []
     build, contains = criterion.bounded_span_elements, criterion.span_contains
 
-    def recording_build(rs, bound, degree=None, cosets=None):
-        out = build(rs, bound, degree, cosets)
-        spans.append((rs, bound, degree, out))
+    def recording_build(rs, bound, cosets=None):
+        out = build(rs, bound, cosets)
+        spans.append((rs, bound, out))
         return out
 
     def recording_contains(elements, target):
@@ -763,7 +720,7 @@ def test_span_coset_filter_keeps_the_placements_that_meet_the_target(monkeypatch
     assert not check_pbw(d).passed
     assert not all(span_reference_check(d))
     assert spans and len(spans) == len(tests)
-    for (rs, bound, degree, out), (elements, target) in zip(spans, tests):
+    for (rs, bound, out), (elements, target) in zip(spans, tests):
         assert elements is out
         group = rs.datum.group
         gens = {g for lhs, rhs in rs.rules.items() for _U, g in (rs.datum.monomial(lhs) - rhs).terms}
@@ -775,7 +732,7 @@ def test_span_coset_filter_keeps_the_placements_that_meet_the_target(monkeypatch
             H = grown
         assert len(H) * index == group.order()
         meet = {group.mul(g, h) for _U, g in target.terms for h in H}
-        unfiltered = build(rs, bound, degree)
+        unfiltered = build(rs, bound)
         kept = [e for e in unfiltered if any(g in meet for _U, g in e.terms)]
         assert out == kept
         if index == 1:
@@ -815,8 +772,8 @@ def unpruned_membership(rs, element, bound):
 
 
 def test_pruned_span_agrees_with_unpruned_elimination():
-    # the span filtered by degree and by the target's cosets, then pruned to
-    # the linked elements, decides as plain elimination of the whole span on
+    # the span filtered by the target's cosets, then pruned to the linked
+    # elements, decides as plain elimination of the whole span on
     # every condition of every preset with a finite group, in both modes, and
     # of the acceptance tamperings, whether or not bounded reduction already
     # settles it; the unpruned span grows exponentially in the bound, so only
@@ -839,17 +796,18 @@ def test_pruned_span_agrees_with_unpruned_elimination():
         for key, (element, bound) in conditions.items():
             if xlen(bound) > 4:
                 continue
-            degree = span_degree(rs, element)
-            span = criterion.bounded_span_elements(rs, bound, degree, span_cosets(rs, element))
+            span = criterion.bounded_span_elements(rs, bound, span_cosets(rs, element))
             pruned = span_contains(span, element)
             assert pruned == unpruned_membership(rs, element, bound), (desc, key)
-            outcomes.add((pruned, degree is not None))
+            outcomes.add((pruned, d.char_degree(element) is not None))
     assert outcomes == {(True, True), (True, False), (False, True)}
 
 
 def test_span_degree_guard_falls_back_on_an_unvalidated_datum():
     # red_12 = x1 has the character of x1, not of x1 x2: the datum is invalid,
-    # check_pbw runs on it anyway, and the rule element of 12 is inhomogeneous
+    # check_pbw runs on it anyway, and the rule element of 12 is inhomogeneous,
+    # so a placement can share monomials of several degrees; check_pbw and
+    # the span reference still agree with unpruned membership
     d = build_preset("uq_sl2").datum
     d = replace(d, reds={(1, 2): d.letter((1,))})
     assert "red_12 is not character-homogeneous of the required degree" in d.validate()
@@ -857,17 +815,12 @@ def test_span_degree_guard_falls_back_on_an_unvalidated_datum():
     rs = build_rules(d, table)
     rep = check_pbw(d)
     reference = span_reference_check(d)
-    fell_back = 0
     for c, ref in zip(rep.conditions, reference, strict=True):
-        element, bound = c.element, c.bound
-        assert span_degree(rs, element) is None
-        if c.used_diamond and d.char_degree(element) is not None:
-            fell_back += 1
         if c.passed is None:
             continue
-        member = reduce_bounded(rs, element, bound).is_zero() or unpruned_membership(rs, element, bound)
+        member = reduce_bounded(rs, c.element, c.bound).is_zero() or unpruned_membership(rs, c.element, c.bound)
         assert c.passed == member == ref, c.condition_id
-    assert fell_back  # a homogeneous element whose span is still built unfiltered
+    assert any(c.used_diamond for c in rep.conditions)  # a nonzero residue was decided
     assert not rep.passed
 
 
@@ -1745,6 +1698,21 @@ def test_generic_redundancies():
     # own rule to rewrite, so plain reduction does not flag them
     d = build_preset("b2_scaffold").datum
     assert generic_redundancies(d, bracket_table(d)) == []
+
+
+def test_a_power_relation_never_reduces_to_zero_without_its_own_rule():
+    # why generic_redundancies lists no power relation: u^N holds no other
+    # left-hand side, so the element keeps its term u^N
+    data = [build_preset(name).datum for name in PRESET_NAMES] + [uq_sl2_three_letters()]
+    checked = 0
+    for d in data:
+        rules = build_rules(d, bracket_table(d)).rules
+        for u in d.d_set():
+            lhs = (u,) * d.heights[u]
+            pruned = RuleSystem(d, {k: r for k, r in rules.items() if k != lhs})
+            assert (lhs, d.group.identity()) in normal_form(pruned, d.monomial(lhs) - rules[lhs]).terms
+            checked += 1
+    assert checked == 46
 
 
 def test_condition_report_serialization():

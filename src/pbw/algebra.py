@@ -190,6 +190,20 @@ def format_poly(a) -> str:
     return out
 
 
+def _key_mismatch(wanted, given) -> str:
+    """The words of wanted missing from the dict given and its extra keys,
+    at most four of each, then the count of the rest."""
+    shown = 4
+    missing = [w for w in wanted if w not in given]
+    extra = sorted(given.keys() - set(wanted))
+    parts = []
+    for kind, words in (("missing", missing), ("extra", extra)):
+        if words:
+            more = f" and {len(words) - shown} more" if len(words) > shown else ""
+            parts.append(f"{kind} {', '.join(format_word(w) for w in words[:shown])}{more}")
+    return "; ".join(parts)
+
+
 # ---------------------------------------------------------------------------
 # the presentation datum
 # ---------------------------------------------------------------------------
@@ -443,6 +457,9 @@ class Datum:
         if len(members) != len(self.L):
             errors.append("L contains duplicate members")
         m, nf = self.field.unit_order, self.group.nfactors
+        for i, g in enumerate(self.g):
+            if len(g) != nf:
+                errors.append(f"g_{i + 1} has the wrong number of factor exponents")
         for i, chi in enumerate(self.chi):
             if len(chi) != nf:
                 errors.append(f"chi_{i + 1} has the wrong number of factor values")
@@ -452,8 +469,8 @@ class Datum:
                     errors.append(
                         f"chi_{i + 1} value on factor {f + 1} has order not dividing {self.group.torsion[f]}"
                     )
-        if any(len(chi) != nf for chi in self.chi):
-            return errors  # the checks below read every character in full
+        if any(len(v) != nf for v in (*self.g, *self.chi)):
+            return errors  # the checks below read every g_i and character in full
         if self.heights.keys() != members:
             errors.append("heights must be given for exactly the members of L")
             return errors
@@ -476,14 +493,12 @@ class Datum:
         cs = c_set(self.L)
         c_members = set(cs)
         if self.reds.keys() != c_members:
-            errors.append(
-                f"reds must be given for exactly C(L) = {{{', '.join(format_word(w) for w in cs)}}}"
-            )
+            errors.append(f"reds must be given for exactly C(L): {_key_mismatch(cs, self.reds)}")
         ds = self.d_set()
         d_members = set(ds)
         if self.redhats.keys() != d_members:
             errors.append(
-                f"redhats must be given for exactly the finite-height members {{{', '.join(format_word(w) for w in ds)}}}"
+                f"redhats must be given for exactly the finite-height members of L: {_key_mismatch(ds, self.redhats)}"
             )
         # a zero right-hand side meets every constraint
         for w, a in self.reds.items():

@@ -464,6 +464,15 @@ def test_validate_lists_a_character_of_the_wrong_length():
     assert d.validate() == ["chi_2 has the wrong number of factor values"]
 
 
+def test_validate_lists_a_group_element_of_the_wrong_length():
+    # q_ij zips g_i against chi_j, so a long g_1 gave wrong q_ij and no
+    # violation
+    from pbw.presets import build_preset
+
+    d = replace(build_preset("uq_sl2").datum, g=((1, 0), (1,)))
+    assert d.validate() == ["g_1 has the wrong number of factor exponents"]
+
+
 def test_validate_flags_unclosed_L():
     d = generic_datum()
     bad = replace(

@@ -31,7 +31,7 @@ from pbw.datumio import (
 from pbw.exprs import MAX_EXPR_DEGREE, MAX_EXPR_TERMS, ExprError, parse_expr
 from pbw.presets import PRESET_NAMES, build_preset
 from pbw.rewrite import MAX_NF_LETTERS, build_rules, reduce_bounded
-from pbw.words import MAX_LYNDON_WORDS
+from pbw.words import MAX_LYNDON_WORDS, format_word
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -101,6 +101,23 @@ def test_check_invalid_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(path2))
     assert code == 2
     assert "height" in err
+
+
+def test_check_names_a_few_missing_reds(capsys, tmp_path):
+    # 64 single letters with no reds: listing all 2,016 words of C(L) made
+    # a 13,547-character line
+    L = [format_word((i,)) for i in range(1, MAX_THETA + 1)]
+    path = tmp_path / "noreds.json"
+    path.write_text(json.dumps({
+        "theta": MAX_THETA, "field": {"cyclotomic": 1}, "group": {"torsion": [], "free_rank": 0},
+        "g": [[]] * MAX_THETA, "chi": [[]] * MAX_THETA, "L": L,
+        "heights": {u: "inf" for u in L}, "reds": {}, "redhats": {},
+    }))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == "" and "Traceback" not in err
+    line = next(l for l in err.splitlines() if "reds must be given for exactly C(L)" in l)
+    assert len(line) < 300
+    assert "missing 12, 13, 14, 15 and 2012 more" in line, line
 
 
 # one-field mutations of a uq_sl2 file: (key path, replacement value)

@@ -1409,6 +1409,10 @@ def test_quotient_rank_matches_full_group_elimination(margin):
         ("nichols_a1xa1 2x3", build_preset("nichols_a1xa1", N1=2, N2=3).datum),
         ("book N=3", build_preset("book", N=3).datum),
     ]
+    if margin == 0:
+        # the rows whose elimination order moved most; at margin 2 the
+        # reference takes 1.6 s
+        cases.append(("lifting_a2_2a", build_preset("lifting_a2_2a").datum))
     for desc, d in cases:
         assert quotient_rank(d, margin=margin) == reference_quotient_rank(d, margin), desc
 
@@ -1427,6 +1431,23 @@ def test_quotient_rank_extends_only_the_rows_that_grew_the_span(monkeypatch):
     monkeypatch.setattr(Echelon, "insert", counted)
     assert quotient_rank(build_preset("lifting_a2_1b").datum) == 243
     assert inserts <= 2_000
+
+
+@pytest.mark.parametrize("name,rank,bound", [("lifting_a2_2a", 216, 1_000), ("lifting_a2_1b", 243, 4_000)])
+def test_quotient_rank_eliminates_least_leading_monomial_first(monkeypatch, name, rank, bound):
+    # inserted in the order generated, each level's rows took 1,540 scalar
+    # products on lifting_a2_2a and 20,831 on lifting_a2_1b
+    products = 0
+    mul = Cyclo.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Cyclo, "__mul__", counted)
+    assert quotient_rank(build_preset(name).datum) == rank
+    assert products <= bound, products
 
 
 def test_quotient_rank_refuses_past_the_row_budget():

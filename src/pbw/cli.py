@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes for `check`: 0 pass, 1 fail, 2 invalid datum; the console script
-exits 141 when its stdout is closed before the output is written.  All
-output is deterministic; polynomial terms print in decreasing rewriting
-order.
+Exit codes: 0 success (for `check`, pass), 1 a `check` that fails, 2 a
+refused input or an invalid datum; the console script exits 141 when its
+stdout is closed before the output is written.  All output is
+deterministic; polynomial terms print in decreasing rewriting order.
 """
 
 from __future__ import annotations
@@ -41,11 +41,7 @@ BROKEN_PIPE_EXIT = 141
 
 
 def _load(path):
-    try:
-        d = load_datum(path)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(2)
+    d = load_datum(path)
     violations = d.validate()
     if violations:
         print("invalid datum:", file=sys.stderr)
@@ -57,11 +53,7 @@ def _load(path):
 
 def _cmd_check(args):
     d = _load(args.file)
-    try:
-        report = check_pbw(d, mode=args.mode)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    report = check_pbw(d, mode=args.mode)
     dim = dimension(d)
     if args.json:
         payload = report.to_json()
@@ -77,17 +69,7 @@ def _cmd_check(args):
 def _cmd_nf(args):
     d = _load(args.file)
     rules = build_rules(d, bracket_table(d))
-    try:
-        poly = parse_expr(args.expr, d)
-    except ExprError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return 2
-    try:
-        nf = normal_form(rules, poly)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    print(format_poly(nf))
+    print(format_poly(normal_form(rules, parse_expr(args.expr, d))))
     return 0
 
 
@@ -99,31 +81,20 @@ def _cmd_dim(args):
 
 def _cmd_hilbert(args):
     if not 0 <= args.max_deg <= MAX_HILBERT_DEGREE:
-        print(f"error: --max-deg must be between 0 and {MAX_HILBERT_DEGREE}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--max-deg must be between 0 and {MAX_HILBERT_DEGREE}")
     coeffs = hilbert(_load(args.file), args.max_deg)
     print(" ".join(str(c) for c in coeffs))
     return 0
 
 
 def _cmd_lyndon(args):
-    try:
-        words = lyndon_up_to(args.theta, args.max_len)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    for w in words:
+    for w in lyndon_up_to(args.theta, args.max_len):
         print(format_word(w))
     return 0
 
 
 def _cmd_shirshov(args):
-    try:
-        w = parse_word(args.word)
-        v, u = shirshov_decompose(w)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    v, u = shirshov_decompose(parse_word(args.word))
     print(f"({format_word(v)}, {format_word(u)})")
     return 0
 
@@ -145,17 +116,9 @@ def _parse_params(pairs):
 
 
 def _cmd_preset(args):
-    try:
-        preset = build_preset(args.name, **_parse_params(args.param))
-    except (TypeError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    preset = build_preset(args.name, **_parse_params(args.param))
     if args.output:
-        try:
-            save_datum(preset.datum, args.output)
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+        save_datum(preset.datum, args.output)
         print(f"wrote {args.output}")
     else:
         print(json.dumps(datum_to_dict(preset.datum), indent=1, sort_keys=True))
@@ -254,8 +217,18 @@ def _parser():
 
 
 def main(argv=None):
+    """Run one command and return its exit code.  A refused input prints one
+    line on stderr and returns 2; any other exception is a bug and propagates."""
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:  # entry() turns a closed stdout into exit 141
+        raise
+    except ExprError as e:
+        print(f"parse error: {e}", file=sys.stderr)
+    except (OSError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+    return 2
 
 
 def entry():

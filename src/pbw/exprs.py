@@ -84,7 +84,11 @@ class _Parser:
     # -- grammar ----------------------------------------------------------
 
     def parse(self):
-        out = self.expr()
+        try:
+            out = self.expr()
+        except RecursionError:  # a few hundred nested '(', '[' or signs; the
+            # position is the start, whatever stack depth the caller left
+            self._error("the expression is nested too deeply", 0)
         self._skip_ws()
         if self.pos != len(self.text):
             self._error("trailing input")
@@ -216,7 +220,10 @@ class _Parser:
             den = self._int()
             if den == 0:
                 self._error("zero denominator", start)
-            return self.datum.field.from_rational(Fraction(n, den))
+            try:
+                return self.datum.field.from_rational(Fraction(n, den))
+            except ZeroDivisionError as e:  # over F_p, a denominator divisible by p
+                self._error(str(e), start)
         return self.datum.field.from_rational(n)
 
 

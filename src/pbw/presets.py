@@ -444,7 +444,7 @@ _BUILDERS = {
 PRESET_NAMES = tuple(sorted(_BUILDERS))
 
 
-def build_preset(name, **params) -> Preset:
+def build_preset(name, /, **params) -> Preset:
     if name not in _BUILDERS:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
     for key in ("N", "N1", "N2", "m", "k"):

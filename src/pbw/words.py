@@ -49,14 +49,25 @@ def lyndon_up_to(theta: int, n: int):
 
 
 def shirshov_decompose(u):
-    """Split u = (v, w) at the lexicographically minimal proper ending w."""
+    """Split u = (v, w) at the lexicographically minimal proper ending w.
+
+    The least nonempty ending of a word is the last factor of its Lyndon
+    factorization, so w is the last Lyndon factor of u[1:], which Duval's
+    algorithm finds in time linear in len(u)."""
     if len(u) < 2:
         raise ValueError("word must have length >= 2")
-    best = 1
-    for i in range(2, len(u)):
-        if u[i:] < u[best:]:
-            best = i
-    return u[:best], u[best:]
+    s, n = u[1:], len(u) - 1
+    i = last = 0
+    while i < n:
+        # s[i:j] is a power of the Lyndon word s[i:i + j - k], plus a prefix of it
+        j, k = i + 1, i
+        while j < n and s[k] <= s[j]:
+            k = k + 1 if s[k] == s[j] else i
+            j += 1
+        while i <= k:
+            last = i
+            i += j - k
+    return u[:last + 1], u[last + 1:]
 
 
 def longest_lyndon_proper_ending_split(u):

@@ -425,6 +425,17 @@ def test_lyndon_and_shirshov(capsys):
     assert code == 2
 
 
+def test_shirshov_splits_a_long_word_at_once(capsys):
+    # 100,000 letters: the split took about 40 s when each ending was
+    # compared as a slice
+    word = "1" + "12" * 49_999 + "2"
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "shirshov", word)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, err) == (0, "")
+    assert out == f"(1, {word[1:]})\n"  # the ending (12)^49999 2 is Lyndon
+
+
 @pytest.mark.parametrize("literal", ["1,,2", "1,x", "\u00b2", "1_0,2", "+1,2"])
 def test_shirshov_refuses_a_bad_word_literal(capsys, literal):
     code, out, err = run(capsys, "shirshov", literal)

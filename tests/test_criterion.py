@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbw import criterion
+from pbw import criterion, oracle
 from pbw.algebra import Datum, GroupSpec, NCPoly, format_poly
 from pbw.criterion import (
     bracket_table,
@@ -1182,8 +1182,8 @@ def _signed_root(rng, field):
 
 def normalized_pivots(ech, field):
     """Echelon's pivots as PlainEchelon keeps them: each lead maps to its
-    normalized row, the lead at one and the stored entries negated back."""
-    return {lead: {lead: field.one(), **{k: -v for k, v in piv}} for lead, piv in ech.pivots.items()}
+    normalized row, the lead at one and the stored tail as it is."""
+    return {lead: {lead: field.one(), **dict(piv)} for lead, piv in ech.pivots.items()}
 
 
 @pytest.mark.parametrize(
@@ -1249,9 +1249,11 @@ def test_echelon_leaves_the_callers_rows_unchanged():
 
 def test_echelon_step_does_scalar_work_only_on_the_row(monkeypatch):
     # each call's scalar operations over Q(zeta_6), counted: a reduction step
-    # by the pivot of its lead pops the lead, so no sum or product computes
-    # the lead again; a multiplier of one makes no product; and each pivot
-    # entry costs at most one product and one sum
+    # by the pivot of its lead pops the lead, so no difference or product
+    # computes the lead again; a multiplier of one makes no product; each
+    # pivot entry costs at most one product and one difference, or one
+    # product and one sign where it fills an empty column; and a pivot is
+    # stored as its tail over the lead, with no sign
     f = CycloField(6)
     one, z, two = f.one(), f.root(1), f.from_rational(2)
     a = two + z  # no multiple of a root of unity
@@ -1259,6 +1261,10 @@ def test_echelon_step_does_scalar_work_only_on_the_row(monkeypatch):
     p1 = {1: one, 3: two, 4: a}
     zz = z * z
     combo = {0: zz, 1: -one, 2: zz * a, 3: zz * z - two, 4: -a}  # zeta^2 p0 - p1
+    # the same row with its leads unmarked: a product with a marked lead may
+    # return the field's cached root, here zeta^2 * zeta = -1, the second
+    # lead itself, so only unmarked leads are told apart by identity
+    fresh = {**combo, 0: Cyclo(f, zz.num, zz.den), 1: Cyclo(f, (-one).num, 1)}
     ech = Echelon()
     assert ech.insert(p0) and ech.insert(p1)
 
@@ -1278,25 +1284,32 @@ def test_echelon_step_does_scalar_work_only_on_the_row(monkeypatch):
             count[name] += 1
         return result, count, list(calls)
 
-    # one step by one: two sums, nothing else
-    assert ops(ech.contains, p0)[:2] == (True, {"__add__": 2, "__sub__": 0, "__mul__": 0, "__neg__": 0})
-    # a step by zeta^2 and one by -1: one product and one sum per entry
+    # one step by one: two differences, nothing else
+    assert ops(ech.contains, p0)[:2] == (True, {"__add__": 0, "__sub__": 2, "__mul__": 0, "__neg__": 0})
+    # a step by zeta^2 and one by -1: one product and one difference per entry
     result, count, made = ops(ech.contains, combo)
-    assert result and count == {"__add__": 4, "__sub__": 0, "__mul__": 4, "__neg__": 0}
-    leads = (combo[0], combo[1])
+    assert result and count == {"__add__": 0, "__sub__": 4, "__mul__": 4, "__neg__": 0}
+    assert not any(x.is_one() for name, *xs in made if name == "__mul__" for x in xs)
+    result, count, made = ops(ech.contains, fresh)
+    assert result and count == {"__add__": 0, "__sub__": 4, "__mul__": 4, "__neg__": 0}
+    leads = (fresh[0], fresh[1])
     assert not any(x is c for name, *xs in made if name != "__mul__" for x in xs for c in leads)
     assert not any(x.is_one() for name, *xs in made if name == "__mul__" for x in xs)
-    # fill-in: the two products land in empty columns, with no sum or sign
+    # fill-in: the two products land in empty columns, each with a sign and
+    # no difference; by one, the signs alone
     assert ops(ech.contains, {0: zz, 5: one})[:2] == (
-        False, {"__add__": 0, "__sub__": 0, "__mul__": 2, "__neg__": 0}
+        False, {"__add__": 0, "__sub__": 0, "__mul__": 2, "__neg__": 2}
     )
-    # a new pivot: entries times -1/lead, the lead itself untouched; with a
-    # lead of one, only the signs
+    assert ops(ech.contains, {1: one})[:2] == (
+        False, {"__add__": 0, "__sub__": 0, "__mul__": 0, "__neg__": 2}
+    )
+    # a new pivot: entries times 1/lead, the lead itself untouched; with a
+    # lead of one, the entries as they are
     result, count, made = ops(ech.insert, {5: z, 6: a, 7: two, 8: one})
-    assert result and count == {"__add__": 0, "__sub__": 0, "__mul__": 3, "__neg__": 1}
+    assert result and count == {"__add__": 0, "__sub__": 0, "__mul__": 3, "__neg__": 0}
     assert not any(x is z for name, *xs in made if name == "__mul__" for x in xs)
     assert ops(ech.insert, {9: one, 10: a, 11: z})[:2] == (
-        True, {"__add__": 0, "__sub__": 0, "__mul__": 0, "__neg__": 2}
+        True, {"__add__": 0, "__sub__": 0, "__mul__": 0, "__neg__": 0}
     )
     monkeypatch.undo()
     assert normalized_pivots(ech, f)[5] == {5: one, 6: a * z.inverse(), 7: two * z.inverse(), 8: z.inverse()}
@@ -1467,6 +1480,49 @@ def test_quotient_rank_refuses_past_the_column_budget(name):
     with pytest.raises(ValueError, match=f"more than {MAX_ORACLE_COLUMNS} columns"):
         quotient_rank(d)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_quotient_rank_sets_up_over_the_coset_block(monkeypatch):
+    # nichols_a1xa1 4x5: |G| = 20, and no relation has a group part, so H
+    # is trivial; the twists chi_x(h) are computed for the theta * |H| = 2
+    # pairs (x, h) of the block, not for all theta * |G| = 40
+    d = build_preset("nichols_a1xa1", N1=4, N2=5).datum
+    gens = ideal_generators_expanded(d)
+    monkeypatch.setattr(oracle, "ideal_generators_expanded", lambda datum: gens)
+    twists = 0
+    apply = Datum.chi_apply_exp
+
+    def counted(self, chi, g):
+        nonlocal twists
+        twists += 1
+        return apply(self, chi, g)
+
+    monkeypatch.setattr(Datum, "chi_apply_exp", counted)
+    assert quotient_rank(d) == 4 * 5 * 20
+    assert twists == 2
+    # a twist table holds the block's indices only: a column outside H is
+    # refused, not read as untwisted
+    cols = ColumnKeys(2, 20, 3)
+    with pytest.raises(KeyError):
+        cols.extend_right({cols.key(((1,),), 7): d.field.one()}, 2, {0: None})
+
+
+def test_power_relation_of_a_letter_is_built_as_a_monomial(monkeypatch):
+    # taft N=8: x1^8, built as one monomial with no Datum.mul call; the
+    # seven products gave the same polynomial
+    d = build_preset("taft", N=8).datum
+    power = reduce(d.mul, [d.letter((1,))] * 8)
+    calls = 0
+    mul = Datum.mul
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(Datum, "mul", counted)
+    assert ideal_generators_expanded(d) == [power - d.expand_to_letters(d.redhats[(1,)])]
+    assert calls == 0
 
 
 def test_forced_serre_from_power_examples():

@@ -455,6 +455,17 @@ def test_root_markers_do_not_change_equality_or_hashing():
     assert f.from_rational(1).root_exp is None  # not set by a general constructor
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 12])
+def test_is_one_reads_the_root_marker(m):
+    # a marked element is one exactly when its exponent is 0; the answer
+    # must agree with the coefficient test on the unmarked copy
+    f = CycloField(m)
+    for k in range(-m, 2 * m):
+        z = f.root(k)
+        assert z.is_one() == (k % m == 0) == unmarked(z).is_one()
+    assert f.one().is_one() and not f.zero().is_one() and not (-f.one()).is_one()
+
+
 def test_prime_field_times_root():
     for p in (2, 7, 13):
         fp = PrimeField(p)

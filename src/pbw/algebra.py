@@ -114,9 +114,6 @@ class NCPoly:
     def __eq__(self, other):
         return isinstance(other, NCPoly) and other.terms == self.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def add_term(self, mono, coeff):
         if coeff.is_zero():
             return

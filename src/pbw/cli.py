@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -131,17 +132,10 @@ def _cmd_redundant(args):
     d = _load(args.file)
     table = bracket_table(d)
     found = []
-    reds = set(d.reds)
-    for u in d.L:
-        for v in d.L:
-            if u < v and d.heights.get(u) == 2 and u + u + v in reds:
-                rhs = forced_serre_from_power(d, u, v, "left")
-                if rhs == d.reds[u + u + v]:
-                    found.append(f"red_{format_word(u + u + v)} is forced by the height-2 power at {format_word(u)}")
-            if u < v and d.heights.get(v) == 2 and u + v + v in reds:
-                rhs = forced_serre_from_power(d, u, v, "right")
-                if rhs == d.reds[u + v + v]:
-                    found.append(f"red_{format_word(u + v + v)} is forced by the height-2 power at {format_word(v)}")
+    for u, v in itertools.combinations(d.L, 2):
+        for side, x, w in (("left", u, u + u + v), ("right", v, u + v + v)):
+            if d.heights[x] == 2 and w in d.reds and forced_serre_from_power(d, u, v, side) == d.reds[w]:
+                found.append(f"red_{format_word(w)} is forced by the height-2 power at {format_word(x)}")
     for level in FORCED_LEVELS:
         try:
             forced = forced_power_from_jacobi(d, table, level)
@@ -156,14 +150,7 @@ def _cmd_redundant(args):
             found.append(f"{kind}_{format_word(word)} is forced by the Jacobi combination ({level})")
     for kind, w in generic_redundancies(d, table):
         found.append(f"{kind}_{format_word(w)} reduces to zero without its own rule")
-    if found:
-        seen = set()
-        for line in found:
-            if line not in seen:
-                seen.add(line)
-                print(line)
-    else:
-        print("no redundant relations detected")
+    print("\n".join(dict.fromkeys(found)) or "no redundant relations detected")
     return 0
 
 

@@ -505,9 +505,17 @@ def generic_redundancies(datum, table):
     """Relations implied by the others: drop one rule, reduce its element by
     the remaining system, redundant when the normal form is zero.  Returns a
     list of ("red", w) labels: without its own rule a power u^N holds no
-    other left-hand side ((u, u) is never a pair rule), so it never reduces."""
-    rules = build_rules(datum, table).rules
+    other left-hand side ((u, u) is never a pair rule), so it never reduces.
+
+    The datum must be valid.  Then x_u x_v, without its own rule, can be
+    reduced only through the power rule of a letter of height one, and no
+    rewrite produces it again; so only a red whose left-hand side (u, v)
+    holds such a letter is tried, and every other one keeps its term."""
     candidates = [(shirshov_decompose(w), ("red", w)) for w in sorted(datum.reds)]
+    candidates = [(lhs, label) for lhs, label in candidates if 1 in (datum.heights[u] for u in lhs)]
+    if not candidates:
+        return []
+    rules = build_rules(datum, table).rules
     out = []
     for lhs, label in candidates:
         pruned = RuleSystem(datum, {k: r for k, r in rules.items() if k != lhs})

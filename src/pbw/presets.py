@@ -1,8 +1,9 @@
 """Named example presentations: rank-one families, rank-two classics, the
 A2-type lifting cases, and a B2 scaffold.
 
-Each builder returns the datum together with its expected dimension.
-Lifting coefficients default to 1 wherever the admissibility rules allow a
+Each builder assembles a datum; `build_preset` checks the parameters
+against the builder's signature, validates the datum and computes its
+expected dimension.  Lifting coefficients default to 1 wherever the admissibility rules allow a
 nonzero value (the coefficient must vanish when its group element is trivial
 or its character constraint fails) and to 0 otherwise; passing an explicit
 nonzero value where 0 is forced is an error.
@@ -10,6 +11,7 @@ nonzero value where 0 is forced is an error.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -106,40 +108,29 @@ class _Builder:
 # rank one
 # ---------------------------------------------------------------------------
 
-def nichols_a1(N=3, **kw):
-    _no_extra(kw)
+def nichols_a1(N=3):
     _need(N >= 2, "N must be >= 2")
     b = _Builder(1, CycloField(N), GroupSpec((N,)), [(1,)], [(1,)], [(1,)], {(1,): N})
     b.redhats[(1,)] = NCPoly.zero()
     return b
 
 
-def taft(N=3, **kw):
-    return nichols_a1(N, **kw)
-
-
-def radford(N=3, **kw):
-    _no_extra(kw)
-    _need(N >= 2, "N must be >= 2")
-    b = _Builder(1, CycloField(N), GroupSpec((N * N,)), [(1,)], [(1,)], [(1,)], {(1,): N})
-    b.redhats[(1,)] = b.one_minus_power((1,), N, b.mu((1,), 1))
-    return b
-
-
-def lifting_a1(N=3, mu1=None, **kw):
-    _no_extra(kw)
+def lifting_a1(N=3, mu1=None):
     _need(N >= 2, "N must be >= 2")
     b = _Builder(1, CycloField(N), GroupSpec((N * N,)), [(1,)], [(1,)], [(1,)], {(1,): N})
     b.redhats[(1,)] = b.one_minus_power((1,), N, b.mu((1,), mu1))
     return b
 
 
+def radford(N=3):
+    return lifting_a1(N, mu1=1)
+
+
 # ---------------------------------------------------------------------------
 # rank two, L = {1, 2}
 # ---------------------------------------------------------------------------
 
-def quantum_plane(m=4, k=1, **kw):
-    _no_extra(kw)
+def quantum_plane(m=4, k=1):
     _need(m >= 1, "conductor must be >= 1")
     b = _Builder(
         2, CycloField(m), GroupSpec((), 1), [(1,), (1,)], [(0,), (k,)],
@@ -149,8 +140,7 @@ def quantum_plane(m=4, k=1, **kw):
     return b
 
 
-def weyl(**kw):
-    _no_extra(kw)
+def weyl():
     b = _Builder(
         2, CycloField(1), GroupSpec(()), [(), ()], [(), ()],
         [(1,), (2,)], {(1,): None, (2,): None},
@@ -159,8 +149,7 @@ def weyl(**kw):
     return b
 
 
-def nichols_a1xa1(N1=2, N2=2, **kw):
-    _no_extra(kw)
+def nichols_a1xa1(N1=2, N2=2):
     _need(N1 >= 2 and N2 >= 2, "orders must be >= 2")
     m = N1 * N2 // math.gcd(N1, N2)
     b = _Builder(
@@ -174,8 +163,7 @@ def nichols_a1xa1(N1=2, N2=2, **kw):
     return b
 
 
-def lifting_a1xa1(N=2, lam12=None, mu1=None, mu2=None, **kw):
-    _no_extra(kw)
+def lifting_a1xa1(N=2, lam12=None, mu1=None, mu2=None):
     _need(N >= 2, "N must be >= 2")
     m = N * N
     b = _Builder(
@@ -189,8 +177,7 @@ def lifting_a1xa1(N=2, lam12=None, mu1=None, mu2=None, **kw):
     return b
 
 
-def book(N=3, **kw):
-    _no_extra(kw)
+def book(N=3):
     _need(N > 2, "N must be > 2")
     b = _Builder(
         2, CycloField(N), GroupSpec((N,)), [(1,), (1,)], [(N - 1,), (1,)],
@@ -202,8 +189,7 @@ def book(N=3, **kw):
     return b
 
 
-def uq_sl2(N=3, **kw):
-    _no_extra(kw)
+def uq_sl2(N=3):
     _need(N > 2 and N % 2 == 1, "N must be odd and > 2 so that ord(q^2) = N")
     b = _Builder(
         2, CycloField(N), GroupSpec((N,)), [(1,), (1,)], [(-2 % N,), (2,)],
@@ -232,8 +218,7 @@ def _forced_redhat_12(b: _Builder):
     return rhs
 
 
-def lifting_a2_1a(mu1=None, mu12=None, mu2=None, **kw):
-    _no_extra(kw)
+def lifting_a2_1a(mu1=None, mu12=None, mu2=None):
     b = _Builder(
         2, CycloField(2), GroupSpec((4, 4)), [(1, 0), (0, 1)], [(1, 1), (0, 1)],
         _L3, {(1,): 2, (1, 2): 2, (2,): 2},
@@ -250,8 +235,7 @@ def lifting_a2_1a(mu1=None, mu12=None, mu2=None, **kw):
     return b
 
 
-def lifting_a2_1b(lam112=None, lam122=None, mu1=None, mu12=None, mu2=None, **kw):
-    _no_extra(kw)
+def lifting_a2_1b(lam112=None, lam122=None, mu1=None, mu12=None, mu2=None):
     b = _Builder(
         2, CycloField(9), GroupSpec((9,)), [(1,), (1,)], [(3,), (3,)],
         _L3, {(1,): 3, (1, 2): 3, (2,): 3},
@@ -278,8 +262,7 @@ def lifting_a2_1b(lam112=None, lam122=None, mu1=None, mu12=None, mu2=None, **kw)
     return b
 
 
-def lifting_a2_1c(N=4, mu1=None, mu12=None, mu2=None, **kw):
-    _no_extra(kw)
+def lifting_a2_1c(N=4, mu1=None, mu12=None, mu2=None):
     _need(N == 4, "this case is built at ord q = 4")
     b = _Builder(
         2, CycloField(4), GroupSpec((8, 8)), [(1, 0), (0, 1)], [(1, 0), (3, 1)],
@@ -299,8 +282,7 @@ def lifting_a2_1c(N=4, mu1=None, mu12=None, mu2=None, **kw):
     return b
 
 
-def lifting_a2_2a(mu1=None, mu2=None, **kw):
-    _no_extra(kw)
+def lifting_a2_2a(mu1=None, mu2=None):
     b = _Builder(
         2, CycloField(6), GroupSpec((9, 2)), [(1, 0), (2, 1)], [(2, 0), (0, 3)],
         _L3, {(1,): 3, (1, 2): 2, (2,): 2},
@@ -315,8 +297,7 @@ def lifting_a2_2a(mu1=None, mu2=None, **kw):
     return b
 
 
-def lifting_a2_2b(lam112=None, mu1=None, mu2=None, **kw):
-    _no_extra(kw)
+def lifting_a2_2b(lam112=None, mu1=None, mu2=None):
     b = _Builder(
         2, CycloField(4), GroupSpec((8,)), [(1,), (1,)], [(1,), (2,)],
         _L3, {(1,): 4, (1, 2): 2, (2,): 2},
@@ -331,8 +312,7 @@ def lifting_a2_2b(lam112=None, mu1=None, mu2=None, **kw):
     return b
 
 
-def lifting_a2_3a(mu1=None, mu2=None, **kw):
-    _no_extra(kw)
+def lifting_a2_3a(mu1=None, mu2=None):
     b = _Builder(
         2, CycloField(6), GroupSpec((9, 2)), [(2, 1), (1, 0)], [(0, 3), (2, 0)],
         _L3, {(1,): 2, (1, 2): 2, (2,): 3},
@@ -347,8 +327,7 @@ def lifting_a2_3a(mu1=None, mu2=None, **kw):
     return b
 
 
-def lifting_a2_3b(lam122=None, mu1=None, mu2=None, **kw):
-    _no_extra(kw)
+def lifting_a2_3b(lam122=None, mu1=None, mu2=None):
     b = _Builder(
         2, CycloField(4), GroupSpec((8,)), [(1,), (1,)], [(2,), (1,)],
         _L3, {(1,): 2, (1, 2): 2, (2,): 4},
@@ -363,8 +342,7 @@ def lifting_a2_3b(lam122=None, mu1=None, mu2=None, **kw):
     return b
 
 
-def lifting_a2_4a(mu1=None, mu12=None, **kw):
-    _no_extra(kw)
+def lifting_a2_4a(mu1=None, mu12=None):
     b = _Builder(
         2, CycloField(6), GroupSpec((12,)), [(1,), (9,)], [(3,), (5,)],
         _L3, {(1,): 2, (1, 2): 3, (2,): 2},
@@ -379,8 +357,7 @@ def lifting_a2_4a(mu1=None, mu12=None, **kw):
     return b
 
 
-def lifting_a2_4b(mu2=None, mu12=None, **kw):
-    _no_extra(kw)
+def lifting_a2_4b(mu2=None, mu12=None):
     b = _Builder(
         2, CycloField(4), GroupSpec((8,)), [(2,), (1,)], [(1,), (2,)],
         _L3, {(1,): 2, (1, 2): 4, (2,): 2},
@@ -399,8 +376,7 @@ def lifting_a2_4b(mu2=None, mu12=None, **kw):
 # B2 scaffold, L = {1, 112, 12, 2}
 # ---------------------------------------------------------------------------
 
-def b2_scaffold(N=5, **kw):
-    _no_extra(kw)
+def b2_scaffold(N=5):
     _need(N == 5, "the scaffold is built at ord q = 5")
     b = _Builder(
         2, CycloField(5), GroupSpec((5,)), [(1,), (1,)], [(1,), (2,)],
@@ -420,7 +396,7 @@ def b2_scaffold(N=5, **kw):
 
 _BUILDERS = {
     "nichols_a1": (nichols_a1, "Nilpotent rank-one algebra x^N = 0"),
-    "taft": (taft, "Taft algebra over Z/N"),
+    "taft": (nichols_a1, "Taft algebra over Z/N"),
     "radford": (radford, "Radford algebra over Z/N^2 with x^N = 1 - g^N"),
     "lifting_a1": (lifting_a1, "Rank-one lifting with x^N = mu (1 - g^N)"),
     "quantum_plane": (quantum_plane, "x1 x2 = q x2 x1, no power relations"),
@@ -445,13 +421,18 @@ PRESET_NAMES = tuple(sorted(_BUILDERS))
 
 
 def build_preset(name, /, **params) -> Preset:
+    """The named preset.  The parameters are those of its builder: one whose
+    default is an integer must be an integer, and any other name is refused."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    for key in ("N", "N1", "N2", "m", "k"):
-        _need(isinstance(params.get(key, 0), int), f"parameter {key} must be an integer")
     builder, desc = _BUILDERS[name]
-    b = builder(**params)
-    datum = b.finish()
+    taken = inspect.signature(builder).parameters
+    for key, p in taken.items():
+        _need(not isinstance(p.default, int) or isinstance(params.get(key, 0), int),
+              f"parameter {key} must be an integer")
+    unknown = sorted(params.keys() - taken.keys())
+    _need(not unknown, f"unknown parameters: {unknown}")
+    datum = builder(**params).finish()
     violations = datum.validate()
     if violations:
         raise ValueError(f"preset {name} produced an invalid datum: {violations}")
@@ -461,8 +442,3 @@ def build_preset(name, /, **params) -> Preset:
 def _need(cond, msg):
     if not cond:
         raise ValueError(msg)
-
-
-def _no_extra(kw):
-    if kw:
-        raise ValueError(f"unknown parameters: {sorted(kw)}")

@@ -518,6 +518,34 @@ def test_preset_refuses_a_non_integer_parameter(capsys, tmp_path, name, param):
     assert not path.exists()
 
 
+def test_preset_refuses_a_parameter_it_does_not_take(capsys):
+    # weyl takes no N, so a non-integer N is refused as unknown
+    code, out, err = run(capsys, "preset", "weyl", "--param", "N=5/2")
+    assert code == 2 and out == ""
+    assert err == "error: unknown parameters: ['N']\n"
+
+
+REDUNDANT_GOLDEN = {
+    "b2_scaffold": ["red_11212 is forced by the Jacobi combination (b2-11212)"],
+    "lifting_a2_1a": ["red_112 is forced by the height-2 power at 1", "red_122 is forced by the height-2 power at 2"],
+    "lifting_a2_2a": ["red_122 is forced by the height-2 power at 2", "redhat_12 is forced by the Jacobi combination (rank2-12)"],
+    "lifting_a2_2b": ["red_122 is forced by the height-2 power at 2", "redhat_12 is forced by the Jacobi combination (rank2-12)"],
+    "lifting_a2_3a": ["red_112 is forced by the height-2 power at 1", "redhat_12 is forced by the Jacobi combination (rank2-12)"],
+    "lifting_a2_3b": ["red_112 is forced by the height-2 power at 1", "redhat_12 is forced by the Jacobi combination (rank2-12)"],
+    "lifting_a2_4a": ["red_112 is forced by the height-2 power at 1", "red_122 is forced by the height-2 power at 2"],
+    "lifting_a2_4b": ["red_112 is forced by the height-2 power at 1", "red_122 is forced by the height-2 power at 2"],
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_redundant_golden(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    save_datum(build_preset(name).datum, path)
+    code, out, err = run(capsys, "redundant", str(path))
+    assert code == 0 and err == ""
+    assert out.splitlines() == REDUNDANT_GOLDEN.get(name, ["no redundant relations detected"])
+
+
 def test_redundant(capsys, tmp_path):
     path = tmp_path / "l2b.json"
     save_datum(build_preset("lifting_a2_2b").datum, path)

@@ -1792,6 +1792,23 @@ def test_a_power_relation_never_reduces_to_zero_without_its_own_rule():
     assert checked == 46
 
 
+def test_a_red_without_a_height_one_letter_keeps_its_term_without_its_own_rule():
+    # why generic_redundancies tries only the reds whose left-hand side
+    # (u, v) holds a letter of height one
+    data = [build_preset(name).datum for name in PRESET_NAMES] + [uq_sl2_three_letters()]
+    checked = 0
+    for d in data:
+        rules = build_rules(d, bracket_table(d)).rules
+        for w in d.reds:
+            lhs = shirshov_decompose(w)
+            if 1 in (d.heights[u] for u in lhs):
+                continue
+            pruned = RuleSystem(d, {k: r for k, r in rules.items() if k != lhs})
+            assert (lhs, d.group.identity()) in normal_form(pruned, d.monomial(lhs) - rules[lhs]).terms
+            checked += 1
+    assert checked == 27
+
+
 def test_condition_report_serialization():
     d = build_preset("uq_sl2").datum
     rep = check_pbw(d)

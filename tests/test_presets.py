@@ -1,9 +1,14 @@
 """Every named example validates, passes the check in both modes, and has
 the advertised dimension; coefficient admissibility is enforced."""
 
+import inspect
+from fractions import Fraction
+
 import pytest
 
 from pbw.criterion import check_pbw
+from pbw.datumio import datum_to_dict
+from pbw import presets
 from pbw.presets import PRESET_NAMES, build_preset
 from pbw.rewrite import hilbert, pbw_monomials
 
@@ -66,6 +71,28 @@ def test_parameter_validation():
         build_preset("book", N=2)
     with pytest.raises(ValueError):
         build_preset("taft", bogus=3)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_parameters_are_checked_from_the_builder_signature(name):
+    with pytest.raises(ValueError) as e:
+        build_preset(name, zz=1)
+    assert str(e.value) == "unknown parameters: ['zz']"
+    builder, _ = presets._BUILDERS[name]
+    for key, p in inspect.signature(builder).parameters.items():
+        if isinstance(p.default, int):
+            with pytest.raises(ValueError) as e:
+                build_preset(name, **{key: Fraction(5, 2)})
+            assert str(e.value) == f"parameter {key} must be an integer"
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_taft_and_radford_are_their_family_members(N):
+    def data(name, **params):
+        return datum_to_dict(build_preset(name, **params).datum)
+
+    assert data("taft", N=N) == data("nichols_a1", N=N)
+    assert data("radford", N=N) == data("lifting_a1", N=N, mu1=1)
 
 
 def test_coefficient_forcing():

@@ -1,6 +1,6 @@
 """Exact PBW-basis toolkit for presentations of character Hopf algebras."""
 
-from .algebra import Datum, GroupSpec, NCPoly
+from .algebra import Datum, GroupSpec, InvalidDatum, NCPoly
 from .criterion import (
     bracket_table,
     check_pbw,

@@ -205,6 +205,14 @@ def _key_mismatch(wanted, given) -> str:
 # the presentation datum
 # ---------------------------------------------------------------------------
 
+class InvalidDatum(ValueError):
+    """A datum that validate() rejects; violations lists what it reported."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        super().__init__("invalid datum: " + "; ".join(self.violations))
+
+
 @dataclass(frozen=True)
 class Datum:
     theta: int
@@ -436,6 +444,28 @@ class Datum:
     def d_set(self):
         return tuple(u for u in self.L if self.heights[u] is not None)
 
+    def height_violation(self, u):
+        """None when the finite height N_u is ord q_uu or, in characteristic
+        p, p^k ord q_uu, as the theorem needs; otherwise validate's violation."""
+        n = self.heights[u]
+        if n < 1:
+            return f"height of {format_word(u)} must be >= 1"
+        m, p = self.field.unit_order, self.field.characteristic
+        # q_uu is the root zeta^q_exp(u, u), so its order is read off the exponent
+        r = m // math.gcd(m, self.q_exp(u, u))
+        if is_height_for_order(n, r, p):
+            return None
+        if p == 0:
+            return f"height {n} of {format_word(u)} differs from ord q_uu = {r}"
+        return f"height {n} of {format_word(u)} is not p^k * ord q_uu (ord = {r}, p = {p})"
+
+    def require_valid(self):
+        """The datum itself, or InvalidDatum naming validate's violations."""
+        violations = self.validate()
+        if violations:
+            raise InvalidDatum(violations)
+        return self
+
     def validate(self) -> list[str]:
         """Empty list iff the datum satisfies every structural constraint."""
         errors = []
@@ -471,22 +501,7 @@ class Datum:
         if self.heights.keys() != members:
             errors.append("heights must be given for exactly the members of L")
             return errors
-        p = self.field.characteristic
-        for u in self.L:
-            n = self.heights[u]
-            if n is None:
-                continue
-            if n < 1:
-                errors.append(f"height of {format_word(u)} must be >= 1")
-                continue
-            # q_uu is the root zeta^q_exp(u, u), so its order is read off the exponent
-            r = m // math.gcd(m, self.q_exp(u, u))
-            if is_height_for_order(n, r, p):
-                continue
-            if p == 0:
-                errors.append(f"height {n} of {format_word(u)} differs from ord q_uu = {r}")
-            else:
-                errors.append(f"height {n} of {format_word(u)} is not p^k * ord q_uu (ord = {r}, p = {p})")
+        errors.extend(filter(None, map(self.height_violation, self.d_set())))
         cs = c_set(self.L)
         c_members = set(cs)
         if self.reds.keys() != c_members:

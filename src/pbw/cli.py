@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (for `check`, pass), 1 a `check` that fails, 2 a
-refused input or an invalid datum; the console script exits 141 when its
+refused input or an invalid datum, which `main` reports on stderr and
+returns like every other refusal; the console script exits 141 when its
 stdout is closed before the output is written.  All output is
 deterministic; polynomial terms print in decreasing rewriting order.
 """
@@ -16,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .algebra import format_poly
+from .algebra import InvalidDatum, format_poly
 from .criterion import (
     FORCED_LEVELS,
     bracket_table,
@@ -42,18 +43,11 @@ BROKEN_PIPE_EXIT = 141
 
 
 def _load(path):
-    d = load_datum(path)
-    violations = d.validate()
-    if violations:
-        print("invalid datum:", file=sys.stderr)
-        for v in violations:
-            print(f"  - {v}", file=sys.stderr)
-        raise SystemExit(2)
-    return d
+    return load_datum(path).require_valid()
 
 
 def _cmd_check(args):
-    d = _load(args.file)
+    d = load_datum(args.file)  # check_pbw validates it
     report = check_pbw(d, mode=args.mode)
     dim = dimension(d)
     if args.json:
@@ -205,7 +199,8 @@ def _parser():
 
 def main(argv=None):
     """Run one command and return its exit code.  A refused input prints one
-    line on stderr and returns 2; any other exception is a bug and propagates."""
+    line on stderr, an invalid datum a line per violation, and returns 2;
+    any other exception is a bug and propagates."""
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
@@ -213,6 +208,8 @@ def main(argv=None):
         raise
     except ExprError as e:
         print(f"parse error: {e}", file=sys.stderr)
+    except InvalidDatum as e:
+        print("invalid datum:", *(f"  - {v}" for v in e.violations), sep="\n", file=sys.stderr)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
     return 2

@@ -8,12 +8,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
 from itertools import accumulate
-from math import gcd
 
 from .algebra import NCPoly
 from .rewrite import RuleSystem, build_rules, normal_form, reduce_bounded
 from .oracle import span_contains  # noqa: F401  (the span reference's membership test)
-from .scalars import is_height_for_order
 from .words import format_word, greatest_first, shirshov_decompose, xlen
 
 
@@ -55,16 +53,13 @@ def bracket_table(datum) -> dict:
 
 def _delta(datum, table, u1, a: NCPoly, tail) -> NCPoly:
     """delta_{u1}(a) for an entry a of the word tail: the telescoped sum on a
-    full-length c U, c [x_{u1}, V g]_{q_{u1,tail}} on a shorter c V g."""
+    full-length c U, c [x_{u1}, V g]_{q_{u1,tail}} on a shorter c V g.  On
+    valid data no term of a is longer than tail, and a full-length one has
+    no group part: validate's lower-terms shape, which the recursion keeps."""
     x_u1 = datum.letter(u1)
     out = NCPoly.zero()
     for (U, g), c in a.terms.items():
-        lu = xlen(U)
-        if lu > len(tail):
-            raise ValueError("monomial longer than the target word")
-        if U and lu == len(tail):
-            if g != datum.group.identity():
-                raise ValueError("full-length monomial with a group factor")
+        if U and xlen(U) == len(tail):
             head = table[(u1, U[0])] - datum.q_commutator(x_u1, datum.letter(U[0]), datum.q_uv(u1, U[0]))
             t = datum.mul(head, datum.monomial(U[1:]))
             t = t + datum.q_commutator(x_u1, datum.monomial(U), datum.q_uv(u1, sum(U, ())))
@@ -93,42 +88,23 @@ def jacobi_element(datum, table, u, v, w) -> NCPoly:
     return out
 
 
-def _nested_weights(datum, u, qexp):
-    """The weights a_0, ..., a_n, n = N_u - 1, of the expansion
-        prod_{k=1..n} (L - q_k R) = sum_i a_i L^(n-i) R^i,   q_k = zeta^(qexp + k q_uu),
-    for commuting L and R, so a_i = (-1)^i e_i(q_1, ..., q_n).  With r = q_uu
-    and Q = zeta^qexp, the q-binomial theorem gives
-    e_i = Q^i r^(i(i+1)/2) [n choose i]_r.
-
-    Returns None for a_i = Q^i.  That is the case at every height that
-    validate accepts, N_u = p^k ord r (k = 0 when p = 0): then [n choose i]_r =
-    (-1)^i r^(-i(i+1)/2) by the q-Lucas theorem.  At any other height it
-    returns the a_i as scalars, from the recurrence e_i += q_k e_(i-1), which
-    is exact for every height."""
-    field = datum.field
-    n = datum.heights[u] - 1
-    quu, m = datum.q_exp(u, u), field.unit_order
-    # ord q_uu read off the exponent, as validate reads it
-    if is_height_for_order(n + 1, m // gcd(m, quu), field.characteristic):
-        return None
-    a = [field.one()]
-    for k in range(1, n + 1):
-        q = field.root(qexp + k * quu)
-        a = [x - q * y for x, y in zip(a + [field.zero()], [field.zero()] + a)]
-    return a
-
-
 def _nested_bracket(datum, t, u, qexp, left):
     """The N_u - 1 times nested q-commutator of x_u with t, step k twisting
     by q_k = zeta^(qexp + k q_uu): [x_u, [x_u, ... t]] when left, else
-    [[... t, x_u], x_u].  A term c V g of t, with s = chi_u(g), gives
-        sum_i c a_i s^i x_u^(n-i) V x_u^i g            (left)
-        sum_i c a_i s^(n-i) x_u^i V x_u^(n-i) g        (right)
-    with the weights a_i of _nested_weights, which are zeta^(i qexp) at every
-    validated height: one rotation per coefficient.  Terms that share a word
-    are merged: the value is the nested products', not their term order."""
+    [[... t, x_u], x_u].  With n = N_u - 1, r = q_uu and Q = zeta^qexp, the
+    q-binomial theorem expands prod_{k=1..n} (L - q_k R), for commuting L
+    and R, as sum_i (-Q)^i r^(i(i+1)/2) [n choose i]_r L^(n-i) R^i.  At
+    every height that validate accepts, N_u = p^k ord r (k = 0 when p = 0),
+    the q-Lucas theorem gives [n choose i]_r = (-1)^i r^(-i(i+1)/2), so the
+    weight is Q^i: a term c V g of t, with s = chi_u(g), gives
+        sum_i c Q^i s^i x_u^(n-i) V x_u^i g            (left)
+        sum_i c Q^i s^(n-i) x_u^i V x_u^(n-i) g        (right)
+    one rotation per coefficient.  Terms that share a word are merged: the
+    value is the nested products', not their term order.  Raises ValueError
+    at a height that validate rejects."""
+    if violation := datum.height_violation(u):
+        raise ValueError(violation)
     n = datum.heights[u] - 1
-    weights = _nested_weights(datum, u, qexp)
     chi_u = datum.word_chi((u,))
     powers = [(u,) * j for j in range(n + 1)]
     out = NCPoly()
@@ -138,8 +114,7 @@ def _nested_bracket(datum, t, u, qexp, left):
             # j letters x_u stand right of V, each twisted by s
             j = i if left else n - i
             word = powers[n - i] + V + powers[i] if left else powers[i] + V + powers[n - i]
-            coeff = c.times_root(i * qexp + j * s) if weights is None else (c * weights[i]).times_root(j * s)
-            out.add_term((word, g), coeff)
+            out.add_term((word, g), c.times_root(i * qexp + j * s))
     return out
 
 
@@ -162,8 +137,8 @@ def leibniz_le_element(datum, table, u, v) -> NCPoly:
     [x_u, ... [x_u, T[u,v]]_{q_uu q_uv} ...] minus [redhat_u, x_v]_{q_uv^N}.
     In closed form, with n = N_u - 1, each term c V g of T[u,v] gives
         sum_i c zeta^(i (q_uv + chi_u(g))) x_u^(n-i) V x_u^i g
-    at every height that validate accepts (zeta exponents throughout), summed
-    over the terms; _nested_weights has the derivation and the other heights."""
+    (zeta exponents throughout), summed over the terms; _nested_bracket has
+    the derivation.  Raises ValueError at a height that validate rejects."""
     n = datum.heights[u]
     acc = _nested_bracket(datum, table[(u, v)], u, datum.q_exp(u, v), left=True)
     return acc - _hat_bracket(datum, datum.redhats[u], v, datum.field.root(n * datum.q_exp(u, v)), left=True)
@@ -179,8 +154,8 @@ def leibniz_gt_element(datum, table, v, u) -> NCPoly:
     [...[T[v,u], x_u]_{q_vu q_uu} ...] minus [x_v, redhat_u]_{q_vu^N}.
     In closed form, with n = N_u - 1, each term c V g of T[v,u] gives
         sum_i c zeta^(i q_vu + (n-i) chi_u(g)) x_u^i V x_u^(n-i) g
-    at every height that validate accepts, summed over the terms;
-    _nested_weights has the derivation and the other heights."""
+    summed over the terms; _nested_bracket has the derivation.  Raises
+    ValueError at a height that validate rejects."""
     n = datum.heights[u]
     acc = _nested_bracket(datum, table[(v, u)], u, datum.q_exp(v, u), left=False)
     return acc - _hat_bracket(datum, datum.redhats[u], v, datum.field.root(n * datum.q_exp(v, u)), left=False)
@@ -415,9 +390,11 @@ def check_pbw(datum, mode="full") -> PBWReport:
     That FAIL is exact: it is the least among the listed conditions, so
     every listed ambiguity below its bound resolves.  A ValueError raised
     while building or deciding a condition, such as a normal form refused
-    past MAX_NF_LETTERS, is raised again prefixed by the condition's id."""
+    past MAX_NF_LETTERS, is raised again prefixed by the condition's id.
+    A datum that validate rejects, outside the theorem, raises InvalidDatum."""
     if mode not in ("full", "reduced"):
         raise ValueError("mode must be 'full' or 'reduced'")
+    datum.require_valid()
     table = bracket_table(datum)
     rules = build_rules(datum, table)
     conditions = list(_conditions(datum, table, mode))

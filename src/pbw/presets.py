@@ -432,10 +432,7 @@ def build_preset(name, /, **params) -> Preset:
               f"parameter {key} must be an integer")
     unknown = sorted(params.keys() - taken.keys())
     _need(not unknown, f"unknown parameters: {unknown}")
-    datum = builder(**params).finish()
-    violations = datum.validate()
-    if violations:
-        raise ValueError(f"preset {name} produced an invalid datum: {violations}")
+    datum = builder(**params).finish().require_valid()
     return Preset(name, datum, dimension(datum), desc)
 
 

@@ -8,7 +8,9 @@ import random
 import time
 from dataclasses import replace
 
-from pbw.algebra import NCPoly
+import pytest
+
+from pbw.algebra import InvalidDatum, NCPoly
 from pbw.criterion import bracket_table, check_pbw, forced_power_from_jacobi, forced_serre_from_power
 from pbw.oracle import quotient_rank
 from pbw.presets import PRESET_NAMES, build_preset
@@ -97,8 +99,8 @@ def test_criterion_3_redundancy_reproduction():
 # -- criterion 4: negative controls ------------------------------------------
 
 def tampered_instances():
-    """(description, datum, margin) triples; every instance has a finite
-    group, dimension at most 64, and respects character homogeneity."""
+    """(description, datum, margin) triples; every instance is valid, has
+    a finite group and dimension at most 64."""
     out = []
 
     d = build_preset("uq_sl2").datum
@@ -113,7 +115,10 @@ def tampered_instances():
     out.append(("radford with redhat_1 = g", replace(d, redhats={(1,): bad}), 3))
 
     d = build_preset("uq_sl2").datum
-    out.append(("uq_sl2 with height 2 at x1", replace(d, heights={(1,): 2, (2,): 3}), 2))
+    bad = NCPoly()
+    bad.add_term(((), (0,)), d.field.one())
+    bad.add_term(((), (1,)), -d.field.one())  # g^3 = 1, so the lifting mu (1 - g^3) is 0
+    out.append(("uq_sl2 with redhat_1 = 1 - g", replace(d, redhats=d.redhats | {(1,): bad}), 2))
 
     d = build_preset("lifting_a1xa1", N=2).datum
     bad = NCPoly()
@@ -131,10 +136,15 @@ def test_criterion_4_negative_controls():
         count = dimension(d)
         assert count <= 64, (desc, count)
         rank = quotient_rank(d, margin=margin)
-        failed = not rep.passed
+        failed = not rep.passed and not check_pbw(d, mode="reduced").passed
         dropped = rank < count
         assert failed and dropped, (desc, failed, rank, count)
         details.append(f"{desc}: rank {rank} < {count}")
+    # a height the theorem excludes is refused, not decided
+    d = build_preset("uq_sl2").datum
+    with pytest.raises(InvalidDatum, match="height 2 of 1 differs from ord q_uu = 3") as refused:
+        check_pbw(replace(d, heights={(1,): 2, (2,): 3}))
+    assert refused.value.violations == ["height 2 of 1 differs from ord q_uu = 3"]
     report("criterion 4 (tampering fails the check and drops the rank)", True, "; ".join(details))
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbw import cli, criterion, rewrite
-from pbw.algebra import NCPoly
+from pbw.algebra import Datum, NCPoly
 from pbw.cli import main
 from pbw.datumio import (
     MAX_CONDUCTOR,
@@ -119,6 +119,60 @@ def test_check_invalid_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(path2))
     assert code == 2
     assert "height" in err
+
+
+@pytest.fixture(scope="module")
+def invalid_height_file(tmp_path_factory):
+    """uq_sl2 with heights 2 and 3, where ord q_11 = 3."""
+    path = tmp_path_factory.mktemp("invalid") / "height2.json"
+    save_datum(replace(build_preset("uq_sl2").datum, heights={(1,): 2, (2,): 3}), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "FILE"),
+    ("check", "FILE", "--mode", "reduced"),
+    ("check", "FILE", "--json"),
+    ("check", "FILE", "--mode", "reduced", "--json"),
+    ("nf", "FILE", "x1"),
+    ("dim", "FILE"),
+    ("hilbert", "FILE", "--max-deg", "3"),
+    ("redundant", "FILE"),
+], ids=["check", "check-reduced", "check-json", "check-reduced-json", "nf", "dim", "hilbert", "redundant"])
+def test_invalid_datum_golden(capsys, invalid_height_file, argv):
+    # main returns 2 for an invalid datum, as for every other refusal,
+    # and prints one line per violation under a header
+    code = main([invalid_height_file if a == "FILE" else a for a in argv])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "invalid datum:\n  - height 2 of 1 differs from ord q_uu = 3\n")
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (("check", "TAFT"), 1),
+    (("check", "TAFT", "--mode", "reduced", "--json"), 1),
+    (("check", "INVALID"), 1),
+    (("nf", "TAFT", "x1"), 1),
+    (("nf", "INVALID", "x1"), 1),
+    (("dim", "TAFT"), 1),
+    (("hilbert", "TAFT", "--max-deg", "3"), 1),
+    (("redundant", "TAFT"), 1),
+    (("preset", "lifting_a2_2b"), 1),
+    (("lyndon", "--theta", "2", "--max-len", "2"), 0),
+    (("shirshov", "12"), 0),
+])
+def test_each_command_validates_its_datum_once(capsys, monkeypatch, taft_file, invalid_height_file, argv, calls):
+    validated = []
+    validate = Datum.validate
+
+    def counted(self):
+        validated.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(Datum, "validate", counted)
+    files = {"TAFT": taft_file, "INVALID": invalid_height_file}
+    code, _out, _err = run(capsys, *(files.get(a, a) for a in argv))
+    assert code == (2 if "INVALID" in argv else 0)
+    assert len(validated) == calls
 
 
 def test_check_names_a_few_missing_reds(capsys, tmp_path):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbw import criterion, oracle
-from pbw.algebra import Datum, GroupSpec, NCPoly, format_poly
+from pbw.algebra import Datum, GroupSpec, InvalidDatum, NCPoly, format_poly
 from pbw.criterion import (
     bracket_table,
     check_pbw,
@@ -449,8 +449,6 @@ def test_leibniz_closed_form_is_the_nested_products_over_a_prime_field(p, a11, a
     and re-place terms, and the closed form has their value."""
     k = p**power
     d, poly = fp_rank2(p, a11, a22, o1 * k, o2 * k)
-    for u, qexp in (((1,), d.q_exp((1,), (2,))), ((2,), d.q_exp((1,), (2,)))):
-        assert criterion._nested_weights(d, u, qexp) is None  # the closed form
     # chi_1(g1) and chi_2(g1) are nontrivial: every term of T has a twist
     # to pass, and its words share no core x_u^a Y x_u^b between terms
     T = poly(((2,), (1, 0), 1), ((1, 2), (1, 1), 2), ((), (0, 1), 3), ((2, 1, 2), (0, 0), 4), ((1, 1), (1, 0), 1))
@@ -475,28 +473,25 @@ def test_leibniz_closed_form_has_the_value_of_the_nested_products_on_shared_word
                 assert got == want
 
 
-def test_leibniz_closed_form_replays_the_products_at_an_unvalidated_height():
-    """uq_sl2 with height 2 at x1, where ord q_11 = 3: the weights come from
-    the recurrence, at validate's heights from the closed form."""
-    d = build_preset("uq_sl2").datum
-    d = replace(d, heights={(1,): 2, (2,): 3})
-    assert d.validate() != []
-    assert criterion._nested_weights(d, (1,), d.q_exp((1,), (2,))) is not None
-    assert criterion._nested_weights(d, (2,), d.q_exp((1,), (2,))) is None
-    assert assert_closed_form_is_the_nested_products(d) == 2
-
-
-@pytest.mark.parametrize("heights", [(5, 3), (3, 7), (8, 4)])
-def test_leibniz_closed_form_replays_the_vanishing_partial_products(heights):
-    """Heights above ord q_uu = 3 that validate refuses: the partial
-    products lose the words whose Gaussian binomials vanish and place them
-    again later, over Q(zeta_3) and over F_7; the recurrence's weights give
-    the same value."""
+@pytest.mark.parametrize("heights", [(2, 3), (5, 3), (3, 7), (8, 4)])
+def test_leibniz_elements_refuse_a_height_that_validate_rejects(heights):
+    """Heights other than ord q_uu = 3, over Q(zeta_3) and over F_7: the
+    closed form holds only at validate's heights, so each element whose
+    nested letter has another height is refused with validate's message."""
     d = replace(build_preset("uq_sl2").datum, heights={(1,): heights[0], (2,): heights[1]})
-    assert assert_closed_form_is_the_nested_products(d) == 2
-    d, poly = fp_rank2(7, 2, 2, *heights)
-    T = poly(((2,), (1, 0), 1), ((1, 2), (1, 1), 2), ((), (0, 1), 3), ((2, 1, 2), (0, 0), 4))
-    assert assert_closed_form_is_the_nested_products(d, {((1,), (2,)): T}) == 2
+    fp, _poly = fp_rank2(7, 2, 2, *heights)
+    for datum in (d, fp):
+        table = bracket_table(datum)
+        for kind, a, b in leibniz_pairs(datum):
+            u = a if kind == "le" else b
+            violation = datum.height_violation(u)
+            build = leibniz_le_element if kind == "le" else leibniz_gt_element
+            if violation is None:
+                assert build(datum, table, a, b) == nested_leibniz_reference(datum, table, kind, a, b)
+            else:
+                assert violation in datum.validate()
+                with pytest.raises(ValueError, match=re.escape(violation)):
+                    build(datum, table, a, b)
 
 
 def test_a2_nichols_at_height_301_is_checked_in_seconds():
@@ -803,25 +798,25 @@ def test_pruned_span_agrees_with_unpruned_elimination():
     assert outcomes == {(True, True), (True, False), (False, True)}
 
 
-def test_span_degree_guard_falls_back_on_an_unvalidated_datum():
-    # red_12 = x1 has the character of x1, not of x1 x2: the datum is invalid,
-    # check_pbw runs on it anyway, and the rule element of 12 is inhomogeneous,
-    # so a placement can share monomials of several degrees; check_pbw and
-    # the span reference still agree with unpruned membership
+def test_span_reference_agrees_with_unpruned_membership_on_an_inhomogeneous_red():
+    # red_12 = x1 has the character of x1, not of x1 x2: the datum is
+    # invalid, so check_pbw refuses it, and the rule element of 12 is
+    # inhomogeneous, so a placement can share monomials of several degrees;
+    # the rule system stays open, and on it the span reference agrees with
+    # unpruned membership on every condition, a nonzero residue among them
     d = build_preset("uq_sl2").datum
     d = replace(d, reds={(1, 2): d.letter((1,))})
-    assert "red_12 is not character-homogeneous of the required degree" in d.validate()
+    violation = "red_12 is not character-homogeneous of the required degree"
+    assert violation in d.validate()
+    with pytest.raises(InvalidDatum, match=violation):
+        check_pbw(d)
     table = bracket_table(d)
     rs = build_rules(d, table)
-    rep = check_pbw(d)
-    reference = span_reference_check(d)
-    for c, ref in zip(rep.conditions, reference, strict=True):
-        if c.passed is None:
-            continue
-        member = reduce_bounded(rs, c.element, c.bound).is_zero() or unpruned_membership(rs, c.element, c.bound)
-        assert c.passed == member == ref, c.condition_id
-    assert any(c.used_diamond for c in rep.conditions)  # a nonzero residue was decided
-    assert not rep.passed
+    conditions = list(criterion._conditions(d, table, "full"))
+    residues = [reduce_bounded(rs, c.element, c.bound) for c in conditions]
+    for c, residue, ref in zip(conditions, residues, span_reference_check(d), strict=True):
+        assert ref == (residue.is_zero() or unpruned_membership(rs, c.element, c.bound)), c.condition_id
+    assert not all(r.is_zero() for r in residues)
 
 
 def a3_nichols(N, tamper=None):
@@ -1057,7 +1052,7 @@ def test_every_ambiguity_below_the_least_failure_resolves():
                 if prec_cmp(W, W0) < 0:
                     assert diamond_resolves(rs, W, sites), (desc, mode, W)
                     resolved += 1
-    assert resolved == 126
+    assert resolved == 130
 
 
 def test_every_overlap_of_the_presets_resolves_by_the_diamond():

@@ -18,6 +18,8 @@ from pbw.rewrite import build_rules, dimension, hilbert, normal_form
 from pbw.scalars import CycloField, PrimeField, binom_vanishes, binom_vanishes_closed_form, q_binomial
 from pbw.words import is_lyndon, longest_lyndon_proper_ending_split, lyndon_up_to, shirshov_decompose
 
+from corpus import tampered_instances
+
 
 def report(criterion, ok, detail=""):
     line = f"[acceptance] {criterion}: {'PASS' if ok else 'FAIL'}"
@@ -97,37 +99,6 @@ def test_criterion_3_redundancy_reproduction():
 
 
 # -- criterion 4: negative controls ------------------------------------------
-
-def tampered_instances():
-    """(description, datum, margin) triples; every instance is valid, has
-    a finite group and dimension at most 64."""
-    out = []
-
-    d = build_preset("uq_sl2").datum
-    bad = NCPoly()
-    bad.add_term(((), (0,)), d.field.one())
-    bad.add_term(((), (1,)), -d.field.one())
-    out.append(("uq_sl2 with red_12 = 1 - g", replace(d, reds={(1, 2): bad}), 2))
-
-    d = build_preset("radford", N=2).datum
-    bad = NCPoly()
-    bad.add_term(((), (1,)), d.field.one())
-    out.append(("radford with redhat_1 = g", replace(d, redhats={(1,): bad}), 3))
-
-    d = build_preset("uq_sl2").datum
-    bad = NCPoly()
-    bad.add_term(((), (0,)), d.field.one())
-    bad.add_term(((), (1,)), -d.field.one())  # g^3 = 1, so the lifting mu (1 - g^3) is 0
-    out.append(("uq_sl2 with redhat_1 = 1 - g", replace(d, redhats=d.redhats | {(1,): bad}), 2))
-
-    d = build_preset("lifting_a1xa1", N=2).datum
-    bad = NCPoly()
-    bad.add_term(((), (0, 0)), d.field.one())
-    bad.add_term(((), (1, 0)), -d.field.one())  # 1 - g1 instead of 1 - g1 g2
-    out.append(("a1xa1 lifting with red_12 = 1 - g1", replace(d, reds={(1, 2): bad}), 2))
-
-    return out
-
 
 def test_criterion_4_negative_controls():
     details = []

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -16,24 +15,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbw import cli, criterion, rewrite
-from pbw.algebra import Datum, NCPoly
+from pbw.algebra import Datum
 from pbw.cli import main
 from pbw.datumio import (
     MAX_CONDUCTOR,
-    MAX_FREE_RANK,
     MAX_GROUP_ORDER,
     MAX_HEIGHT,
     MAX_MEMBER_LETTERS,
     MAX_PRIME,
     MAX_THETA,
     datum_to_dict,
-    load_datum,
     save_datum,
 )
 from pbw.exprs import MAX_EXPR_DEGREE, MAX_EXPR_TERMS, ExprError, parse_expr
 from pbw.presets import PRESET_NAMES, build_preset
-from pbw.rewrite import MAX_NF_LETTERS, build_rules, reduce_bounded
-from pbw.words import MAX_LYNDON_WORDS, format_word
+from pbw.words import MAX_LYNDON_WORDS
+
+from corpus import CASES, FILES, b2_repro, run_case, run_in_process, tampered_uq_sl2, write_file
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -52,20 +50,15 @@ def qplane_file(tmp_path):
     return str(path)
 
 
-# a valid datum over F_7: one letter of height 3
-F7_DATUM = {
-    "theta": 1, "field": {"prime": 7}, "group": {"torsion": [6], "free_rank": 0},
-    "g": [[1]], "chi": [[2]], "L": ["1"], "heights": {"1": 3}, "reds": {}, "redhats": {"1": []},
-}
-
-
 @pytest.fixture(scope="module")
-def nf_files(tmp_path_factory):
-    """uq_sl2 and the F_7 datum, written once for the module."""
-    root = tmp_path_factory.mktemp("nf")
+def data_files(tmp_path_factory):
+    """uq_sl2, the F_7 datum and uq_sl2 at the invalid heights 2 and 3,
+    written once for the module."""
+    root = tmp_path_factory.mktemp("data")
     save_datum(build_preset("uq_sl2").datum, root / "u.json")
-    (root / "f7.json").write_text(json.dumps(F7_DATUM))
-    return {"U": str(root / "u.json"), "F7": str(root / "f7.json")}
+    for name in ("f7.json", "h2.json"):
+        write_file(root / name, FILES[name]())
+    return {"U": str(root / "u.json"), "F7": str(root / "f7.json"), "INVALID": str(root / "h2.json")}
 
 
 def run(capsys, *argv):
@@ -86,51 +79,20 @@ def run_alone(*argv, **kwargs):
     )
 
 
+@pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
+def test_corpus_case(tmp_path, case):
+    # the rows of tests/corpus.py, which `python tests/corpus.py` runs through
+    # the installed console script
+    assert run_case(case, tmp_path, run_in_process) == []
+
+
 def test_check_pass(capsys, taft_file):
     code, out, _ = run(capsys, "check", taft_file)
     assert code == 0
     assert "PASS, dim 9" in out
 
 
-def test_check_fail_exit_code(capsys, tmp_path):
-    d = build_preset("uq_sl2").datum
-    bad = NCPoly()
-    bad.add_term(((), (0,)), d.field.one())
-    bad.add_term(((), (1,)), -d.field.one())
-    path = tmp_path / "bad.json"
-    save_datum(replace(d, reds={(1, 2): bad}), path)
-    code, out, _ = run(capsys, "check", str(path))
-    assert code == 1
-    assert "FAIL" in out
-
-
-def test_check_invalid_exit_code(capsys, tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text('{"theta": 1}')
-    code, _, err = run(capsys, "check", str(path))
-    assert code == 2
-    assert "missing fields" in err
-
-    # structurally valid file but violated constraints
-    d = build_preset("taft").datum
-    bad = replace(d, heights={(1,): 5})
-    path2 = tmp_path / "badheights.json"
-    save_datum(bad, path2)
-    code, _, err = run(capsys, "check", str(path2))
-    assert code == 2
-    assert "height" in err
-
-
-@pytest.fixture(scope="module")
-def invalid_height_file(tmp_path_factory):
-    """uq_sl2 with heights 2 and 3, where ord q_11 = 3."""
-    path = tmp_path_factory.mktemp("invalid") / "height2.json"
-    save_datum(replace(build_preset("uq_sl2").datum, heights={(1,): 2, (2,): 3}), path)
-    return str(path)
-
-
 @pytest.mark.parametrize("argv", [
-    ("check", "FILE"),
     ("check", "FILE", "--mode", "reduced"),
     ("check", "FILE", "--json"),
     ("check", "FILE", "--mode", "reduced", "--json"),
@@ -138,11 +100,11 @@ def invalid_height_file(tmp_path_factory):
     ("dim", "FILE"),
     ("hilbert", "FILE", "--max-deg", "3"),
     ("redundant", "FILE"),
-], ids=["check", "check-reduced", "check-json", "check-reduced-json", "nf", "dim", "hilbert", "redundant"])
-def test_invalid_datum_golden(capsys, invalid_height_file, argv):
+], ids=["check-reduced", "check-json", "check-reduced-json", "nf", "dim", "hilbert", "redundant"])
+def test_invalid_datum_golden(capsys, data_files, argv):
     # main returns 2 for an invalid datum, as for every other refusal,
     # and prints one line per violation under a header
-    code = main([invalid_height_file if a == "FILE" else a for a in argv])
+    code = main([data_files["INVALID"] if a == "FILE" else a for a in argv])
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", "invalid datum:\n  - height 2 of 1 differs from ord q_uu = 3\n")
 
@@ -160,7 +122,7 @@ def test_invalid_datum_golden(capsys, invalid_height_file, argv):
     (("lyndon", "--theta", "2", "--max-len", "2"), 0),
     (("shirshov", "12"), 0),
 ])
-def test_each_command_validates_its_datum_once(capsys, monkeypatch, taft_file, invalid_height_file, argv, calls):
+def test_each_command_validates_its_datum_once(capsys, monkeypatch, taft_file, data_files, argv, calls):
     validated = []
     validate = Datum.validate
 
@@ -169,27 +131,10 @@ def test_each_command_validates_its_datum_once(capsys, monkeypatch, taft_file, i
         return validate(self)
 
     monkeypatch.setattr(Datum, "validate", counted)
-    files = {"TAFT": taft_file, "INVALID": invalid_height_file}
+    files = {"TAFT": taft_file, "INVALID": data_files["INVALID"]}
     code, _out, _err = run(capsys, *(files.get(a, a) for a in argv))
     assert code == (2 if "INVALID" in argv else 0)
     assert len(validated) == calls
-
-
-def test_check_names_a_few_missing_reds(capsys, tmp_path):
-    # 64 single letters with no reds: listing all 2,016 words of C(L) made
-    # a 13,547-character line
-    L = [format_word((i,)) for i in range(1, MAX_THETA + 1)]
-    path = tmp_path / "noreds.json"
-    path.write_text(json.dumps({
-        "theta": MAX_THETA, "field": {"cyclotomic": 1}, "group": {"torsion": [], "free_rank": 0},
-        "g": [[]] * MAX_THETA, "chi": [[]] * MAX_THETA, "L": L,
-        "heights": {u: "inf" for u in L}, "reds": {}, "redhats": {},
-    }))
-    code, out, err = run(capsys, "check", str(path))
-    assert code == 2 and out == "" and "Traceback" not in err
-    line = next(l for l in err.splitlines() if "reds must be given for exactly C(L)" in l)
-    assert len(line) < 300
-    assert "missing 12, 13, 14, 15 and 2012 more" in line, line
 
 
 # one-field mutations of a uq_sl2 file: (key path, replacement value)
@@ -228,7 +173,6 @@ _OVERSIZED = {
     "prime": (("field",), {"prime": 1_000_000_007}),  # the least prime above MAX_PRIME
     "height": (("heights", "1"), MAX_HEIGHT + 1),
     "group_order": (("group", "torsion"), [MAX_GROUP_ORDER + 1]),
-    "free_rank": (("group", "free_rank"), MAX_FREE_RANK + 1),
     "member_letters": (("L", 1), "1" + "2" * MAX_MEMBER_LETTERS),
     "theta": (("theta",), MAX_THETA + 1),
 }
@@ -243,15 +187,11 @@ def test_check_refuses_a_file_past_a_size_limit(capsys, tmp_path, case):
 
 
 def test_deeply_nested_files_exit_2_without_traceback(tmp_path):
-    # an array nested 200,000 deep, and a uq_sl2 file whose coefficient
-    # vector holds a list nested 990 deep; both gave a RecursionError traceback
-    deep = tmp_path / "deep.json"
-    deep.write_text("[" * 200_000 + "]" * 200_000)
-    data = datum_to_dict(build_preset("uq_sl2").datum)
-    data["reds"]["12"] = [{"word": [], "grp": [0], "coeff": ["NESTED", "0"]}]
-    nested = tmp_path / "nested_coeff.json"
-    nested.write_text(json.dumps(data).replace('"NESTED"', "[" * 990 + "]" * 990))
-    for path in (deep, nested):
+    # the corpus rows check-deep and check-nested, in a fresh interpreter
+    # instead of under the test's stack
+    for name in ("deep.json", "nested.json"):
+        path = tmp_path / name
+        write_file(path, FILES[name]())
         result = run_alone("check", str(path), capture_output=True)
         assert result.returncode == 2 and result.stdout == ""
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
@@ -312,15 +252,6 @@ def test_nf_refuses_an_expression_past_the_limits(capsys, tmp_path, expr):
     assert err.startswith("parse error: ") and "exceeds the limit" in err
 
 
-def test_nf_refuses_a_rewrite_past_the_letter_limit(capsys, qplane_file):
-    # inside the parse limits, but about 250 M letters of rewriting
-    t0 = time.perf_counter()
-    code, out, err = run(capsys, "nf", qplane_file, "x1^500*x2^500")
-    assert time.perf_counter() - t0 < 5.0
-    assert code == 2 and out == ""
-    assert err == f"error: normal form rewrites more than {MAX_NF_LETTERS} letters\n"
-
-
 NF_EXPRESSIONS = ("x2*x1", "(x1+x2+g1)^5", "(x2+g1)^4*(x1+g1)^3", "x2^3*x1^3")
 # SHA-256 of the [preset, expression, exit code, stdout, stderr] runs of
 # `pbw nf` below, as compact JSON.  The group generator makes terms with
@@ -341,75 +272,30 @@ def test_nf_outputs_on_every_preset_match_the_recorded_digest(capsys, tmp_path):
     assert hashlib.sha256(blob.encode()).hexdigest() == NF_PRESET_OUTPUTS
 
 
-def b2_repro(tmp_path):
-    """b2_scaffold with red_122 = -x2 x2 x1: valid, but not confluent."""
-    raw = datum_to_dict(build_preset("b2_scaffold").datum)
-    raw["reds"]["122"] = [{"word": ["2", "2", "1"], "grp": [0], "coeff": "-1"}]
-    path = tmp_path / "b2_tampered.json"
-    path.write_text(json.dumps(raw))
-    return path
-
-
-def test_span_reference_refuses_past_the_placement_limit(tmp_path):
-    # the span reference, run over the residues of the b2 repro in the
-    # check's order, decides the Jacobi residues and then refuses that of
-    # leibniz(112;112<2), in both modes: the span test below its 16-letter
-    # bound has 15,606,751 placements (it ran for minutes)
-    from test_criterion import span_reference
-
-    d = load_datum(b2_repro(tmp_path))
-    table = criterion.bracket_table(d)
-    rs = build_rules(d, table)
-    for mode in ("full", "reduced"):
-        t0 = time.perf_counter()
-        refused = None
-        for c in criterion._conditions(d, table, mode):
-            if reduce_bounded(rs, c.element, c.bound).is_zero():
-                continue
-            try:
-                span_reference(rs, c.element, c.bound)
-            except ValueError as e:
-                refused = f"error: {c.condition_id}: {e}\n"
-                break
-        assert time.perf_counter() - t0 < 5.0
-        assert refused == (
-            "error: leibniz(112;112<2): the span test below a bound of 16 letters needs 15606751 "
-            f"placements, more than {criterion.MAX_SPAN_PLACEMENTS}\n"
-        )
-
-
 def test_check_decides_the_b2_repro_in_seconds(capsys, tmp_path):
     # the least failing condition in the order of the bounds, jacobi(1<112<2)
-    # (5 letters), is the one FAIL; the conditions above it are not decided
-    path = b2_repro(tmp_path)
-    for extra in ((), ("--mode", "reduced", "--json")):
-        t0 = time.perf_counter()
-        code, out, err = run(capsys, "check", str(path), *extra)
-        assert time.perf_counter() - t0 < 2.0
-        assert code == 1 and err == ""
-        if extra:
-            payload = json.loads(out)
-            assert payload["verdict"] == "fail" and payload["dimension"] == 3125
-            assert [c["id"] for c in payload["conditions"] if c["status"] == "fail"] == ["jacobi(1<112<2)"]
-            undecided = [c for c in payload["conditions"] if c["status"] == "not decided"]
-            assert undecided and all(c["residue_terms"] is None and c["diamond"] is False for c in undecided)
-        else:
-            lines = out.splitlines()
-            assert lines[-1] == "FAIL, dim 3125"
-            failing = [line for line in lines if ": FAIL," in line]
-            assert failing == ["jacobi(1<112<2): FAIL, diamond, residue terms: 4"]
-            assert any(line.endswith(": not decided") for line in lines)
+    # (5 letters), is the one FAIL (the corpus row check-b2-red_122 pins it
+    # in full mode, within 2 s); the conditions above it are not decided
+    path = tmp_path / "b2t.json"
+    save_datum(b2_repro(), path)
+    code, out, _err = run(capsys, "check", str(path))
+    assert code == 1 and any(line.endswith(": not decided") for line in out.splitlines())
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "check", str(path), "--mode", "reduced", "--json")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["verdict"] == "fail" and payload["dimension"] == 3125
+    assert [c["id"] for c in payload["conditions"] if c["status"] == "fail"] == ["jacobi(1<112<2)"]
+    undecided = [c for c in payload["conditions"] if c["status"] == "not decided"]
+    assert undecided and all(c["residue_terms"] is None and c["diamond"] is False for c in undecided)
 
 
 def test_check_refuses_a_normal_form_past_the_letter_limit(capsys, monkeypatch, tmp_path):
     # the diamond's normal form keeps the rewrite limit of pbw nf, and the
     # refusal names the least condition whose normal form was refused
-    d = build_preset("uq_sl2").datum
-    bad = NCPoly()
-    bad.add_term(((), (0,)), d.field.one())
-    bad.add_term(((), (1,)), -d.field.one())
     path = tmp_path / "bad.json"
-    save_datum(replace(d, reds={(1, 2): bad}), path)
+    save_datum(tampered_uq_sl2(), path)
     monkeypatch.setattr(rewrite, "MAX_NF_LETTERS", 2)
     for extra in ((), ("--mode", "reduced", "--json")):
         code, out, err = run(capsys, "check", str(path), *extra)
@@ -421,12 +307,8 @@ def test_check_leaves_the_conditions_above_the_least_failure_not_decided(capsys,
     # the order of the bounds, not of the lines: (2, 2, 2, 2) and
     # (1, 2, 2, 2) precede (1, 1, 1, 2) and (1, 1, 1, 1), so leibniz(2;1<2)
     # fails before the two conditions listed above it are decided
-    d = build_preset("uq_sl2").datum
-    bad = NCPoly()
-    bad.add_term(((), (0,)), d.field.one())
-    bad.add_term(((), (1,)), -d.field.one())
     path = tmp_path / "bad.json"
-    save_datum(replace(d, reds={(1, 2): bad}), path)
+    save_datum(tampered_uq_sl2(), path)
     code, out, _ = run(capsys, "check", str(path))
     assert code == 1
     assert out.splitlines() == [
@@ -479,17 +361,6 @@ def test_lyndon_and_shirshov(capsys):
     assert code == 2
 
 
-def test_shirshov_splits_a_long_word_at_once(capsys):
-    # 100,000 letters: the split took about 40 s when each ending was
-    # compared as a slice
-    word = "1" + "12" * 49_999 + "2"
-    t0 = time.perf_counter()
-    code, out, err = run(capsys, "shirshov", word)
-    assert time.perf_counter() - t0 < 1.0
-    assert (code, err) == (0, "")
-    assert out == f"(1, {word[1:]})\n"  # the ending (12)^49999 2 is Lyndon
-
-
 @pytest.mark.parametrize("literal", ["1,,2", "1,x", "\u00b2", "1_0,2", "+1,2"])
 def test_shirshov_refuses_a_bad_word_literal(capsys, literal):
     code, out, err = run(capsys, "shirshov", literal)
@@ -504,23 +375,6 @@ def test_lyndon_refuses_a_count_past_the_limit(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def test_hilbert_rejects_negative_degree(capsys, qplane_file):
-    code, _, err = run(capsys, "hilbert", qplane_file, "--max-deg", "-1")
-    assert code == 2
-
-
-def test_hilbert_refuses_a_degree_past_the_limit(capsys, qplane_file):
-    code, out, err = run(capsys, "hilbert", qplane_file, "--max-deg", str(cli.MAX_HILBERT_DEGREE + 1))
-    assert code == 2 and out == ""
-    assert err == f"error: --max-deg must be between 0 and {cli.MAX_HILBERT_DEGREE}\n"
-
-
-def test_hilbert_takes_the_largest_degree(capsys, qplane_file):
-    code, out, _ = run(capsys, "hilbert", qplane_file, "--max-deg", str(cli.MAX_HILBERT_DEGREE))
-    assert code == 0
-    assert out.split() == [str(k + 1) for k in range(cli.MAX_HILBERT_DEGREE + 1)]
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -540,16 +394,6 @@ def test_preset_params(capsys, tmp_path):
     assert out.strip() == "16"
     code, _, err = run(capsys, "preset", "taft", "--param", "N=1", "-o", str(path))
     assert code == 2
-
-
-def test_preset_to_an_unwritable_path_exits_2_without_traceback(capsys, tmp_path):
-    # the directory does not exist: the write failed with a FileNotFoundError
-    # traceback and exit 1
-    path = tmp_path / "missing" / "t.json"
-    code, out, err = run(capsys, "preset", "taft", "-o", str(path))
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
-    assert not path.exists()
 
 
 @pytest.mark.parametrize("param", ["N", "N=1/0", "N=x"])
@@ -572,13 +416,6 @@ def test_preset_refuses_a_non_integer_parameter(capsys, tmp_path, name, param):
     assert not path.exists()
 
 
-def test_preset_refuses_a_parameter_it_does_not_take(capsys):
-    # weyl takes no N, so a non-integer N is refused as unknown
-    code, out, err = run(capsys, "preset", "weyl", "--param", "N=5/2")
-    assert code == 2 and out == ""
-    assert err == "error: unknown parameters: ['N']\n"
-
-
 REDUNDANT_GOLDEN = {
     "b2_scaffold": ["red_11212 is forced by the Jacobi combination (b2-11212)"],
     "lifting_a2_1a": ["red_112 is forced by the height-2 power at 1", "red_122 is forced by the height-2 power at 2"],
@@ -598,15 +435,6 @@ def test_redundant_golden(capsys, tmp_path, name):
     code, out, err = run(capsys, "redundant", str(path))
     assert code == 0 and err == ""
     assert out.splitlines() == REDUNDANT_GOLDEN.get(name, ["no redundant relations detected"])
-
-
-def test_redundant(capsys, tmp_path):
-    path = tmp_path / "l2b.json"
-    save_datum(build_preset("lifting_a2_2b").datum, path)
-    code, out, _ = run(capsys, "redundant", str(path))
-    assert code == 0
-    assert "red_122 is forced by the height-2 power at 2" in out
-    assert "redhat_12 is forced by the Jacobi combination (rank2-12)" in out
 
 
 def test_expression_grammar():
@@ -687,24 +515,15 @@ def test_entry_handles_a_closed_stdout_without_a_descriptor(capsys, monkeypatch,
     assert capsys.readouterr() == ("", "")
 
 
-# each gave a traceback and exit 1: a ZeroDivisionError, three RecursionErrors
-# and a TypeError (build_preset's own `name` argument)
+# each gave a RecursionError traceback and exit 1
 @pytest.mark.parametrize("argv,prefix", [
-    (("nf", "F7", "1/7*x1"), "parse error: denominator divisible by 7 (line 1, column 1)"),
-    (("nf", "U", "(" * 300 + "x1" + ")" * 300), "parse error: the expression is nested too deeply"),
     (("nf", "U", "0+" + "-" * 2000 + "x1"), "parse error: the expression is nested too deeply"),
     (("nf", "U", "[" * 300 + "x1" + ",x2]" * 300), "parse error: the expression is nested too deeply"),
-    (("preset", "taft", "--param", "name=1"), "error: unknown parameters: ['name']"),
-], ids=["fp-denominator", "parentheses", "signs", "brackets", "param-name"])
-def test_refusals_that_escaped_exit_2_with_one_line(capsys, nf_files, argv, prefix):
-    code, out, err = run(capsys, *(nf_files.get(a, a) for a in argv))
+], ids=["signs", "brackets"])
+def test_refusals_that_escaped_exit_2_with_one_line(capsys, data_files, argv, prefix):
+    code, out, err = run(capsys, *(data_files.get(a, a) for a in argv))
     assert (code, out) == (2, "")
     assert err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err
-
-
-def test_two_hundred_nested_parentheses_still_parse(capsys, qplane_file):
-    code, out, err = run(capsys, "nf", qplane_file, "(" * 200 + "x1" + ")" * 200)
-    assert (code, out, err) == (0, "x1\n", "")
 
 
 @pytest.mark.parametrize("call,argv", [
@@ -740,13 +559,13 @@ _STRAYS = st.lists(st.tuples(st.integers(0, 99), st.sampled_from(_EXPR_TOKENS)),
 
 @settings(max_examples=150, deadline=2000, derandomize=True, database=None)
 @given(st.sampled_from(("U", "F7")), _EXPRS, _STRAYS)
-def test_nf_on_random_expressions_prints_a_result_or_one_refusal(nf_files, which, expr, strays):
+def test_nf_on_random_expressions_prints_a_result_or_one_refusal(data_files, which, expr, strays):
     for at, token in strays:
         at %= len(expr) + 1
         expr = expr[:at] + token + expr[at:]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["nf", nf_files[which], "--", expr])
+        code = main(["nf", data_files[which], "--", expr])
     if code == 0:
         assert err.getvalue() == "" and out.getvalue().count("\n") == 1
     else:

@@ -47,6 +47,19 @@ from pbw.scalars import Cyclo, CycloField, PrimeField, format_scalar
 from pbw.datumio import datum_from_dict, datum_to_dict
 from pbw.words import c_set, greatest_first, prec_cmp, shirshov_decompose, xlen
 
+from corpus import (
+    A3_TAMPERINGS,
+    a2_nichols,
+    a3_nichols,
+    b2_repro,
+    radford_redhat,
+    tampered_a2_nichols,
+    tampered_instances,
+    tampered_lifting_a1xa1,
+    tampered_uq_sl2,
+    uq_sl2_three_letters,
+)
+
 
 def rank2_scaffold(m, q11, q12, q21, q22, heights=None):
     """L = {1, 12, 2} with the given bicharacter exponents and zero relation
@@ -98,8 +111,6 @@ def test_bracket_entries_respect_the_lower_terms_shape():
 def free_heights_datum(m, L, chi1, chi2, reds=None):
     """Rank-two datum over Z/m x Z/m with all heights infinite and the given
     relation right-hand sides (zero where omitted)."""
-    from pbw.words import c_set
-
     field = CycloField(m)
     group = GroupSpec((m, m))
     L = tuple(sorted(tuple(u) for u in L))
@@ -385,22 +396,6 @@ def assert_closed_form_is_the_nested_products(datum, table=None):
     return count
 
 
-def a2_nichols(N, group=None):
-    """A2 Nichols data at ord q = N (odd): q_11 = q_22 = zeta^2,
-    q_12 = q_21 = zeta^-1, all heights N, zero reds and redhats; the group
-    is Z_N^2 unless given."""
-    group = group or GroupSpec((N, N))
-    return Datum(
-        theta=2, field=CycloField(N), group=group,
-        g=(group.element((1, 0)), group.element((0, 1))),
-        chi=((2, N - 1), (N - 1, 2)),
-        L=((1,), (1, 2), (2,)),
-        heights={(1,): N, (1, 2): N, (2,): N},
-        reds={(1, 1, 2): NCPoly.zero(), (1, 2, 2): NCPoly.zero()},
-        redhats={(1,): NCPoly.zero(), (1, 2): NCPoly.zero(), (2,): NCPoly.zero()},
-    )
-
-
 def fp_rank2(p, a11, a22, N1, N2):
     """Rank two over F_p on Z_(p-1)^2 with q_11 = zeta^a11, q_22 = zeta^a22,
     q_12 = q_11^-1 and q_21 = q_22^-1, L = {1, 2}, and redhats with group
@@ -592,14 +587,6 @@ def test_reduced_mode_drops_the_documented_conditions():
     assert "jacobi(112<12<2)" in reduced
 
 
-def tampered_uq_sl2(N=3, c=1):
-    d = build_preset("uq_sl2", N=N).datum
-    bad = NCPoly()
-    bad.add_term(((), (0,)), d.field.from_rational(c))
-    bad.add_term(((), (1,)), d.field.from_rational(-c))  # c (1 - g) instead of 1 - g^2
-    return replace(d, reds={(1, 2): bad})
-
-
 def test_tampered_datum_fails_with_witness():
     d = tampered_uq_sl2()
     assert d.validate() == []  # still homogeneous and well-shaped
@@ -613,14 +600,6 @@ def test_tampered_datum_fails_with_witness():
     assert quotient_rank(d, margin=2) < count
 
 
-def tampered_lifting_a1xa1(N=2, c=1):
-    d = build_preset("lifting_a1xa1", N=N).datum
-    bad = NCPoly()
-    bad.add_term(((), (0, 0)), d.field.from_rational(c))
-    bad.add_term(((), (1, 0)), d.field.from_rational(-c))  # c (1 - g1) instead of 1 - g1 g2
-    return replace(d, reds={(1, 2): bad})
-
-
 def span_reference(rs, element, bound):
     """The exact span test that the diamond is held against: membership of
     element in the placements below the bound, built in its span cosets
@@ -628,6 +607,32 @@ def span_reference(rs, element, bound):
     can record their calls."""
     span = criterion.bounded_span_elements(rs, bound, span_cosets(rs, element))
     return criterion.span_contains(span, element)
+
+
+def test_span_reference_refuses_past_the_placement_limit():
+    # the span reference, run over the residues of the b2 repro in the
+    # check's order, decides the Jacobi residues and then refuses that of
+    # leibniz(112;112<2), in both modes: the span test below its 16-letter
+    # bound has 15,606,751 placements (it ran for minutes)
+    d = b2_repro()
+    table = criterion.bracket_table(d)
+    rs = build_rules(d, table)
+    for mode in ("full", "reduced"):
+        t0 = time.perf_counter()
+        refused = None
+        for c in criterion._conditions(d, table, mode):
+            if reduce_bounded(rs, c.element, c.bound).is_zero():
+                continue
+            try:
+                span_reference(rs, c.element, c.bound)
+            except ValueError as e:
+                refused = f"error: {c.condition_id}: {e}\n"
+                break
+        assert time.perf_counter() - t0 < 5.0
+        assert refused == (
+            "error: leibniz(112;112<2): the span test below a bound of 16 letters needs 15606751 "
+            f"placements, more than {criterion.MAX_SPAN_PLACEMENTS}\n"
+        )
 
 
 def span_reference_check(datum, mode="full"):
@@ -774,8 +779,6 @@ def test_pruned_span_agrees_with_unpruned_elimination():
     # settles it; the unpruned span grows exponentially in the bound, so only
     # bounds of at most 4 letters are compared (81 conditions, every
     # tampered one among them; the coset filter drops group elements on 71)
-    from test_acceptance import tampered_instances
-
     data = [(name, build_preset(name).datum) for name in PRESET_NAMES]
     data += [(desc, d) for desc, d, _margin in tampered_instances()]
     outcomes = set()
@@ -817,38 +820,6 @@ def test_span_reference_agrees_with_unpruned_membership_on_an_inhomogeneous_red(
     for c, residue, ref in zip(conditions, residues, span_reference_check(d), strict=True):
         assert ref == (residue.is_zero() or unpruned_membership(rs, c.element, c.bound)), c.condition_id
     assert not all(r.is_zero() for r in residues)
-
-
-def a3_nichols(N, tamper=None):
-    """A3 Nichols data at ord q = N (odd): theta = 3, L = {1, 12, 123, 2,
-    23, 3}, q_ij = zeta^(a_ij) for the A3 Cartan matrix, G = Z_N^3 with the
-    generators g_i, all heights N, zero reds on the nine words of C(L) and
-    zero redhats.  tamper names one of A3_TAMPERINGS, a red set to one
-    term of its own degree."""
-    group = GroupSpec((N, N, N))
-    cartan = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
-    L = ((1,), (1, 2), (1, 2, 3), (2,), (2, 3), (3,))
-    d = Datum(
-        theta=3, field=CycloField(N), group=group,
-        g=tuple(group.element(tuple(int(i == j) for j in range(3))) for i in range(3)),
-        chi=tuple(tuple(a % N for a in row) for row in cartan),
-        L=L,
-        heights={u: N for u in L},
-        reds={w: NCPoly.zero() for w in c_set(L)},
-        redhats={u: NCPoly.zero() for u in L},
-    )
-    if tamper is None:
-        return d
-    word, term, c = A3_TAMPERINGS[tamper]
-    return replace(d, reds=d.reds | {word: NCPoly({(term, group.identity()): d.field.from_rational(c)})})
-
-
-# name -> (red word, word of its one term, coefficient)
-A3_TAMPERINGS = {
-    "red_112": ((1, 1, 2), ((2,), (1,), (1,)), -1),        # -x2 x1 x1
-    "red_13": ((1, 3), ((3,), (1,)), 2),                    # 2 x3 x1
-    "red_1123": ((1, 1, 2, 3), ((2, 3), (1,), (1,)), -1),   # -x23 x1 x1
-}
 
 
 @pytest.mark.parametrize("N", [3, 5, 7])
@@ -939,20 +910,6 @@ def test_every_condition_of_the_presets_builds_its_element(monkeypatch):
             assert sum(built.values()) == len(report.conditions), (name, mode)
 
 
-def radford_redhat(N=2, c=1):
-    """Radford with redhat_1 = c g: a power relation x1^N - c g of mixed
-    length, and of one character, since x1^N has the trivial one."""
-    d = build_preset("radford", N=N).datum
-    return replace(d, redhats={(1,): NCPoly({((), (1,)): d.field.from_rational(c)})})
-
-
-def tampered_a2_nichols(N, group=None):
-    """A2 Nichols data with red_112 = -x2 x1 x1."""
-    d = a2_nichols(N, group)
-    bad = NCPoly({(((2,), (1,), (1,)), d.group.identity()): d.field.from_rational(-1)})
-    return replace(d, reds=d.reds | {(1, 1, 2): bad})
-
-
 def test_infinite_group_residues_are_decided_by_the_diamond():
     # the span needs a finite group and the diamond does not: over Z^2,
     # where a nonzero residue alone used to be a FAIL, each is decided by
@@ -969,8 +926,6 @@ def _agreement_data():
     """(id, builder) of the data on which the diamond is held against the
     span reference: the presets, the acceptance tamperings, the shapes of
     the benchmark's tamperings, and A3 at N = 3 with red_112 and red_13."""
-    from test_acceptance import tampered_instances
-
     data = [(name, lambda name=name: build_preset(name).datum) for name in PRESET_NAMES]
     data += [(re.sub(r"\W+", "-", desc), lambda d=d: d) for desc, d, _margin in tampered_instances()]
     data += [(f"uq_sl2-N{N}-red_12", lambda N=N: tampered_uq_sl2(N, Fraction(-3, 2))) for N in (3, 5, 7, 9)]
@@ -1027,18 +982,13 @@ def test_every_ambiguity_below_the_least_failure_resolves():
     # bound pass, and so does every ambiguity of the rules below it, listed
     # or not (the powers u^(N+j), j >= 2, and the conditions that reduced
     # mode skips), on every tampering of the tests, in both modes
-    from test_acceptance import tampered_instances
-
-    b2 = build_preset("b2_scaffold").datum
     data = [(f"a3-N{N}-{t}", a3_nichols(N, t)) for N in (3, 5, 7) for t in sorted(A3_TAMPERINGS)]
     data += [(desc, d) for desc, d, _margin in tampered_instances()]
     data += [(f"uq_sl2-N{N}", tampered_uq_sl2(N)) for N in (3, 5, 7, 9)]
     data += [(f"radford-N{N}", radford_redhat(N, Fraction(2, 3))) for N in (2, 3, 4)]
     data += [(f"lifting_a1xa1-N{N}", tampered_lifting_a1xa1(N, 4)) for N in (2, 3)]
     data += [("a2-N3-red_112", tampered_a2_nichols(3))]
-    data += [("b2-red_122", replace(b2, reds=b2.reds | {
-        (1, 2, 2): NCPoly({(((2,), (2,), (1,)), b2.group.identity()): b2.field.from_rational(-1)}),
-    }))]
+    data += [("b2-red_122", b2_repro())]
     resolved = 0
     for desc, d in data:
         rs = build_rules(d, bracket_table(d))
@@ -1718,37 +1668,6 @@ def test_b2_coefficient_special_forms():
     q11 = f.root(20)
     q22 = f.root(9)
     assert q_coeff(q11, q12, q22) == -(q12 * (one + q22))
-
-
-def uq_sl2_three_letters(N=3):
-    """The Frobenius-Lusztig kernel presented over {1, 12, 2}: the middle
-    letter has height one and rewrites straight to 1 - g^2."""
-    f = CycloField(N)
-    gs = GroupSpec((N,))
-
-    def poly(*terms):
-        p = NCPoly()
-        for letters, g, c in terms:
-            p.add_term((tuple(tuple(l) for l in letters), gs.element(g)), c)
-        return p
-
-    one = f.one()
-    return Datum(
-        theta=2, field=f, group=gs,
-        g=(gs.element((1,)), gs.element((1,))),
-        chi=((-2 % N,), (2,)),
-        L=((1,), (1, 2), (2,)),
-        heights={(1,): N, (1, 2): 1, (2,): N},
-        reds={
-            (1, 1, 2): poly(([(1,)], (2,), f.root(-4 % N) - one)),
-            (1, 2, 2): poly(([(2,)], (0,), one - f.root(4 % N))),
-        },
-        redhats={
-            (1,): NCPoly.zero(),
-            (2,): NCPoly.zero(),
-            (1, 2): poly(([], (0,), one), ([], (2,), -one)),
-        },
-    )
 
 
 def test_height_one_presentation_passes_and_counts():

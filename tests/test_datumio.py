@@ -30,7 +30,9 @@ from pbw.datumio import (
 )
 from pbw.presets import PRESET_NAMES, build_preset
 from pbw.scalars import CycloField, PrimeField, RootOfUnity, format_scalar
-from pbw.words import c_set, format_word
+from pbw.words import c_set
+
+from corpus import FILES, letters_without_reds
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -278,34 +280,21 @@ def test_size_limits_of_the_group_and_of_L_admit_their_largest_values():
         datum_from_dict(data)
 
 
-def rank_file(theta):
-    """theta q-commuting letters of infinite height over Q with empty reds."""
-    L = [format_word((i,)) for i in range(1, theta + 1)]
-    return {
-        "theta": theta, "field": {"cyclotomic": 1}, "group": {"torsion": [], "free_rank": 0},
-        "g": [[]] * theta, "chi": [[]] * theta, "L": L,
-        "heights": {u: "inf" for u in L}, "reds": {}, "redhats": {},
-    }
-
-
 def test_rank_limit_admits_its_largest_value():
     # the rank is refused before the datum builds its theta^2 table; rank
     # 300 took 0.17 s to load and validate, and listed C(L) in a 0.37 MB line
     for theta in (10, 12, MAX_THETA):
-        d = datum_from_dict(rank_file(theta))
+        d = datum_from_dict(letters_without_reds(theta))
         assert d.theta == theta
         assert d.validate()[0].startswith("reds must be given for exactly C(L)")
     with pytest.raises(DatumFormatError, match=f"theta {MAX_THETA + 1} is above the limit {MAX_THETA}"):
-        datum_from_dict(rank_file(MAX_THETA + 1))
+        datum_from_dict(letters_without_reds(MAX_THETA + 1))
 
 
 def test_a_long_member_of_L_is_refused_before_validation_starts():
     # validate() tests a member in time quadratic in its length: 10,000
     # letters took 1.5 s to be refused
-    data = datum_to_dict(build_preset("uq_sl2").datum)
-    long = "1" + "2" * 9_999
-    data["L"].append(long)
-    data["heights"][long] = "inf"
+    data = FILES["long.json"]()
     t0 = time.perf_counter()
     with pytest.raises(DatumFormatError, match="a member of L has 10000 letters"):
         datum_from_dict(data)

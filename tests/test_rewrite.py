@@ -10,7 +10,6 @@ import pytest
 from pbw import rewrite
 from pbw.algebra import GroupSpec, NCPoly
 from pbw.criterion import _conditions, bracket_table
-from pbw.datumio import datum_from_dict, datum_to_dict
 from pbw.oracle import quotient_rank
 from pbw.presets import PRESET_NAMES, build_preset
 from pbw.rewrite import (
@@ -24,6 +23,8 @@ from pbw.rewrite import (
 )
 from pbw.scalars import Cyclo
 from pbw.words import greatest_first, prec_cmp, xlen
+
+from corpus import a2_nichols, a3_nichols, tampered_uq_sl2, uq_sl2_over_f7, uq_sl2_three_letters
 
 
 def rules_for(name, **kw):
@@ -206,24 +207,6 @@ def nf_expand_power(d, rng, k=6):
     return reduce(d.mul, [base] * k)
 
 
-def _tampered_uq_sl2():
-    from test_criterion import tampered_uq_sl2
-
-    return tampered_uq_sl2(5)
-
-
-def _a3_nichols_red_13():
-    from test_criterion import a3_nichols
-
-    return a3_nichols(3, "red_13")
-
-
-def _a2_nichols_over_z2():
-    from test_criterion import a2_nichols
-
-    return a2_nichols(5, GroupSpec((), 2))
-
-
 # id -> (datum builder, whether to add nf-expand-shaped powers).  The
 # tampered data are not confluent: rewrites cancel monomials that later
 # rewrites insert again.
@@ -233,9 +216,9 @@ PARITY_DATA = {
     "uq_sl27": (lambda: build_preset("uq_sl2", N=7).datum, True),
     "lifting_a2_2a": (lambda: build_preset("lifting_a2_2a").datum, True),
     "b2_scaffold": (lambda: build_preset("b2_scaffold").datum, False),
-    "uq_sl25_red12_1-g": (_tampered_uq_sl2, False),
-    "a3_nichols3_red13": (_a3_nichols_red_13, False),
-    "a2_nichols5_Z2": (_a2_nichols_over_z2, False),
+    "uq_sl25_red12_1-g": (lambda: tampered_uq_sl2(5), False),
+    "a3_nichols3_red13": (lambda: a3_nichols(3, "red_13"), False),
+    "a2_nichols5_Z2": (lambda: a2_nichols(5, GroupSpec((), 2)), False),
 }
 
 
@@ -365,8 +348,6 @@ def run_words(d, rng, count):
 
 @pytest.mark.parametrize("name", PRESET_NAMES + ("uq_sl2_three_letters",))
 def test_run_site_search_matches_the_slice_scan(name):
-    from test_criterion import uq_sl2_three_letters
-
     d = uq_sl2_three_letters() if name == "uq_sl2_three_letters" else build_preset(name).datum
     rs = build_rules(d, bracket_table(d))
     rng = random.Random(name)
@@ -408,13 +389,6 @@ def rewrite_at_reference(rs, U, g, site):
 def all_sites(rs, U):
     """Every (i, cut) at which a left-hand side occurs in U."""
     return [(i, i + len(lhs)) for i in range(len(U)) for lhs in rs.rules if U[i:i + len(lhs)] == lhs]
-
-
-def uq_sl2_over_f7():
-    raw = datum_to_dict(build_preset("uq_sl2").datum)
-    raw["field"] = {"prime": 7}
-    raw["chi"] = [[2 * e for e in chi] for chi in raw["chi"]]
-    return datum_from_dict(raw)
 
 
 REWRITE_DATA = {
@@ -472,7 +446,7 @@ def test_rule_systems_over_different_data_share_no_twist_table():
 # each datum with the left-hand sides of its rules whose right-hand side
 # has a group part
 TWIST_DATA = {
-    "uq_sl25_red12_1-g": (_tampered_uq_sl2, [((1,), (2,))]),
+    "uq_sl25_red12_1-g": (lambda: tampered_uq_sl2(5), [((1,), (2,))]),
     "lifting_a2_2a": (
         lambda: build_preset("lifting_a2_2a").datum,
         [((1, 2), (2,)), ((1,), (1,), (1,)), ((1, 2), (1, 2)), ((2,), (2,))],
@@ -480,7 +454,7 @@ TWIST_DATA = {
     "quantum_plane": (lambda: build_preset("quantum_plane").datum, []),
     "b2_scaffold": (lambda: build_preset("b2_scaffold").datum, []),
     "uq_sl2_F7": (uq_sl2_over_f7, [((1,), (2,))]),
-    "a3_nichols3_red13": (_a3_nichols_red_13, []),
+    "a3_nichols3_red13": (lambda: a3_nichols(3, "red_13"), []),
 }
 
 
